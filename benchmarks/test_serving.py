@@ -27,9 +27,10 @@ Assertions:
 
 A final record serves the same model through a 2-shard
 :class:`~repro.serve.workers.ShardedPool` (zero-copy weights + dataset
-in shared memory) to capture the process-backend numbers; on a
-single-core runner this documents overhead, not speedup, so it only
-asserts bit-identity.
+in shared memory).  The server runs one batcher thread per shard and
+the pool sends each batch to its least-loaded shard, so the record
+asserts bit-identity and that both shards held a batch at once
+(``peak_in_flight == jobs``, a count that holds at any runner speed).
 
 Results are appended to ``BENCH_PR4.json`` at the repository root,
 keyed by scale.  Environment knobs mirror
@@ -258,10 +259,12 @@ class TestShardedPoolServing:
     ):
         """2 worker shards over zero-copy shared weights + dataset.
 
-        On a single-core runner this point documents the process
-        backend's overhead rather than a speedup, so it asserts only
-        correctness; the numbers land in BENCH_PR4.json for machines
-        with cores to spare.
+        The server gives the model one batcher thread per shard, and
+        the pool dispatches each batch to the shard with the fewest in
+        flight, so the next batch runs while the previous one is still
+        on a shard.  Asserts bit-identity and that the closed loop kept
+        every shard busy at once (``peak_in_flight == jobs``); the
+        req/s and latency land in BENCH_PR4.json.
         """
         from repro.serve.workers import ShardedPool
 
@@ -290,6 +293,7 @@ class TestShardedPoolServing:
                 seed=0,
             )
             snapshot = server.metrics["snnwt"].snapshot()
+            peak_in_flight = pool.stats()["peak_in_flight"]
             RECORDS["serve_pool_b16"] = {
                 "jobs": P["pool_jobs"],
                 "max_batch": 16,
@@ -301,8 +305,13 @@ class TestShardedPoolServing:
                 "client_rps": client["client_rps"],
                 "client_errors": client["client_errors"],
                 "shared_nbytes": pool.nbytes_shared(),
+                "peak_in_flight": peak_in_flight,
                 "bit_identical": True,
             }
             assert client["client_errors"] == 0
+            assert peak_in_flight == P["pool_jobs"], (
+                f"at most {peak_in_flight} of {P['pool_jobs']} shards held "
+                "a batch at once"
+            )
         finally:
             server.close()

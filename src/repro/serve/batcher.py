@@ -4,11 +4,17 @@ Single-image requests arrive one at a time; the batched engines
 (:mod:`repro.snn.batched`, the GEMM clean paths) are fastest when fed
 many images at once.  :class:`MicroBatcher` bridges the two: callers
 ``submit()`` individual payloads and immediately receive a
-:class:`concurrent.futures.Future`; a dedicated scheduler thread
-coalesces queued payloads into batches under a
-``max_batch`` / ``max_wait_us`` policy and runs them through one
-batched-engine call, then routes each result back to its future
-positionally.
+:class:`concurrent.futures.Future`; scheduler threads coalesce queued
+payloads into batches under a ``max_batch`` / ``max_wait_us`` policy
+and run each through one batched-engine call, then route each result
+back to its future positionally.
+
+One scheduler thread serves an in-process engine: runners share the
+interpreter's GIL, so a second batch in flight would only contend for
+it.  A pool-backed server gives each model one thread per shard, so
+the next batch forms and dispatches while the previous one is still
+on a shard; formation stays serialized (one thread fills a window at
+a time), so closed-loop batches still run full.
 
 Correctness guarantees:
 
@@ -35,8 +41,8 @@ Correctness guarantees:
   its future always carries the typed error.  Sheds are counted as
   ``deadline_shed`` in :class:`~repro.serve.metrics.ServingMetrics`.
 * **Graceful drain.**  ``close(drain=True)`` (the default) stops
-  admissions, lets the scheduler finish every queued request, then
-  joins the thread.  ``close(drain=False)`` cancels queued requests
+  admissions, lets the schedulers finish every queued request, then
+  joins every thread.  ``close(drain=False)`` cancels queued requests
   with :class:`~repro.core.errors.ServingError`.
 
 The latency policy mirrors what GPU inference servers call *dynamic
@@ -109,14 +115,25 @@ class _Pending:
 class MicroBatcher:
     """Coalesces submitted payloads into batched ``run_batch`` calls.
 
+    :class:`~repro.serve.engine.InferenceServer` starts one scheduler
+    thread per pool shard, so every shard can hold a batch while the
+    pool sends each to its least-loaded shard; in-process serving keeps
+    one thread, since its runners share the GIL.
+
     Args:
         run_batch: ``fn(payloads: list) -> sequence`` returning one
-            result per payload, positionally aligned.  Runs on the
+            result per payload, positionally aligned.  Runs on a
             scheduler thread; exceptions fail that batch's futures.
+            With ``threads > 1`` it must be safe to call concurrently.
         policy: the :class:`BatchPolicy`.
         metrics: optional :class:`ServingMetrics` receiving queue /
             batch / latency observations.
-        name: thread-name suffix for diagnostics.
+        name: thread-name infix for diagnostics
+            (``repro-batcher-<name>-<k>``).
+        threads: scheduler threads, i.e. batches that may be in
+            ``run_batch`` at once.  Only one thread forms a batch at a
+            time; the others wait their turn, then dispatch while
+            earlier batches are still running.
     """
 
     def __init__(
@@ -125,7 +142,10 @@ class MicroBatcher:
         policy: Optional[BatchPolicy] = None,
         metrics: Optional[ServingMetrics] = None,
         name: str = "model",
+        threads: int = 1,
     ):
+        if threads < 1:
+            raise ServingError(f"threads must be >= 1, got {threads}")
         self.policy = (policy or BatchPolicy()).validate()
         self.metrics = metrics if metrics is not None else ServingMetrics(
             self.policy.max_batch
@@ -135,11 +155,18 @@ class MicroBatcher:
         self._queue: deque = deque()
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
+        #: held by the one thread filling a batching window, so the
+        #: others cannot split its batch.
+        self._forming = threading.Lock()
         self._closed = False
-        self._thread = threading.Thread(
-            target=self._loop, name=f"repro-batcher-{name}", daemon=True
-        )
-        self._thread.start()
+        self._threads = [
+            threading.Thread(
+                target=self._loop, name=f"repro-batcher-{name}-{k}", daemon=True
+            )
+            for k in range(threads)
+        ]
+        for thread in self._threads:
+            thread.start()
 
     # -- client side ----------------------------------------------------
 
@@ -180,11 +207,12 @@ class MicroBatcher:
         with self._lock:
             return len(self._queue)
 
-    # -- scheduler thread ----------------------------------------------
+    # -- scheduler threads ---------------------------------------------
 
     def service_estimate(self) -> float:
         """EWMA of recent batch service times, in seconds (0.0 cold)."""
-        return self._service_ewma
+        with self._lock:
+            return self._service_ewma
 
     def _doomed(self, pending: _Pending, now: float) -> bool:
         """True when ``pending`` is expired or can't make the next batch."""
@@ -263,7 +291,8 @@ class MicroBatcher:
 
     def _loop(self) -> None:
         while True:
-            batch, shed = self._collect()
+            with self._forming:
+                batch, shed = self._collect()
             self._fail_shed(shed)
             if batch is None:
                 return
@@ -288,12 +317,13 @@ class MicroBatcher:
                 continue
             done = time.perf_counter()
             service = done - started
-            self._service_ewma = (
-                service
-                if self._service_ewma == 0.0
-                else _SERVICE_EWMA_ALPHA * service
-                + (1.0 - _SERVICE_EWMA_ALPHA) * self._service_ewma
-            )
+            with self._lock:
+                self._service_ewma = (
+                    service
+                    if self._service_ewma == 0.0
+                    else _SERVICE_EWMA_ALPHA * service
+                    + (1.0 - _SERVICE_EWMA_ALPHA) * self._service_ewma
+                )
             self.metrics.record_batch([done - p.enqueued_at for p in batch])
             for pending, result in zip(batch, results):
                 pending.future.set_result(result)
@@ -305,7 +335,8 @@ class MicroBatcher:
 
         ``drain=True`` completes every already-admitted request before
         returning.  ``drain=False`` fails queued requests with
-        :class:`ServingError` (the batch in flight still completes).
+        :class:`ServingError` (batches in flight still complete).
+        Joins every scheduler thread, sharing ``timeout`` between them.
         Idempotent.
         """
         cancelled: List[_Pending] = []
@@ -319,7 +350,11 @@ class MicroBatcher:
             pending.future.set_exception(
                 ServingError("batcher closed before the request ran")
             )
-        self._thread.join(timeout)
+        ends = None if timeout is None else time.perf_counter() + timeout
+        for thread in self._threads:
+            thread.join(
+                None if ends is None else max(ends - time.perf_counter(), 0.0)
+            )
 
     def __enter__(self) -> "MicroBatcher":
         return self

@@ -371,11 +371,16 @@ class ChaosInterceptor:
                     self.spiked_batches += 1
                 time.sleep(event.magnitude * 1e-3)
             elif event.kind == ERROR_BURST:
-                # Streaming draw: deterministic per-batch lottery.
-                draw = float(self.injector.stream(ERROR_STREAM).random())
-                if draw < event.magnitude:
-                    with self._lock:
+                # Streaming draw: deterministic per-batch lottery.  The
+                # lazy stream lookup and the draw share the lock, so
+                # concurrent batches cannot build two generators and
+                # draw the same value twice.
+                with self._lock:
+                    draw = float(self.injector.stream(ERROR_STREAM).random())
+                    failed = draw < event.magnitude
+                    if failed:
                         self.injected_errors += 1
+                if failed:
                     raise ServingError(
                         f"chaos: injected transient error for model "
                         f"{model!r} ({len(payloads)} request(s) in batch)"

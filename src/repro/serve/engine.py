@@ -303,6 +303,11 @@ class InferenceServer:
       memory); the server still owns batching, admission control and
       metrics, and the pool owns execution.
 
+    Each model's batcher runs ``pool.jobs`` scheduler threads over a
+    pool — while one batch is on a shard the next forms and goes to the
+    least-loaded shard — and one thread over in-process runners, which
+    share the GIL.
+
     ``images`` optionally attaches a read-only ``(N, n_inputs)`` image
     table so clients can submit *just an index* — the serving-bench
     shape, where request payloads stay tiny.  With a pool backend and
@@ -372,6 +377,7 @@ class InferenceServer:
         self.breakers: Dict[str, CircuitBreaker] = {}
         self._batchers: Dict[str, MicroBatcher] = {}
         self._closed = False
+        threads = 1 if pool is None else pool.jobs
         for name in names:
             metrics = ServingMetrics(self.policy.max_batch)
             self.metrics[name] = metrics
@@ -381,6 +387,7 @@ class InferenceServer:
                 policy=self.policy,
                 metrics=metrics,
                 name=name,
+                threads=threads,
             )
 
     @classmethod

@@ -291,7 +291,8 @@ def render_stats(payload: Dict[str, Any]) -> str:
             f"{pool.get('duplicate_completions', 0)} duplicate completions "
             f"(no-ops), {pool.get('quarantined', 0)} quarantined, "
             f"{pool.get('quarantine_rejections', 0)} quarantine rejections, "
-            f"{pool.get('deadline_shed', 0)} deadline shed"
+            f"{pool.get('deadline_shed', 0)} deadline shed, "
+            f"peak {pool.get('peak_in_flight', 0)} in flight"
         )
         supervisor = pool.get("supervisor")
         if isinstance(supervisor, dict):

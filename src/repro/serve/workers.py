@@ -12,6 +12,16 @@ model configs / coders / label maps at spawn, and per-task
 index-only traffic against a shared dataset, a task is just a list of
 ints.
 
+Dispatch is **least-loaded**: every task (a fresh batch, a requeue
+after a shard death, a re-dispatch after corruption) goes to the alive
+shard with the fewest tasks in flight, rotating among ties.  Blind
+round-robin would queue a batch behind a busy or wedged shard whenever
+completions return out of order.  A pool-backed
+:class:`~repro.serve.engine.InferenceServer` runs one batcher thread
+per shard for each model, so all shards can be busy at once;
+:meth:`ShardedPool.stats` reports ``peak_in_flight``, the most tasks
+the pool ever held at once.
+
 Fault tolerance (asserted by ``tests/serve/test_workers.py`` and
 ``tests/serve/test_supervisor.py``):
 
@@ -496,6 +506,12 @@ class _Task:
 class ShardedPool:
     """N warm worker processes sharing one weights+dataset segment.
 
+    :meth:`run_batch` is safe to call from many threads; each call
+    blocks for its own result while the task runs on the alive shard
+    with the fewest tasks in flight (ties rotate).  An
+    :class:`~repro.serve.engine.InferenceServer` over the pool calls it
+    from ``jobs`` batcher threads per model, one per shard.
+
     Args:
         models: ``name -> trained model`` (the publishable families:
             SpikingNetwork, SNNwot, SNN+BP, MLP, QuantizedMLP).
@@ -573,7 +589,10 @@ class ShardedPool:
         self._lock = threading.Lock()
         self._tasks: Dict[int, _Task] = {}
         self._task_ids = itertools.count()
+        #: rotates dispatch among equally loaded shards.
         self._rr = itertools.count()
+        #: most tasks ever in flight at once (see stats()).
+        self._peak_in_flight = 0
         self._closing = False
         #: quarantined task signature -> shard deaths it caused.
         self._quarantine: Dict[tuple, int] = {}
@@ -980,6 +999,7 @@ class ShardedPool:
             ]
             payload["engine"] = self.engine
             payload["backend"] = self.backend
+            payload["peak_in_flight"] = self._peak_in_flight
             spawns = list(self._spawn_seconds)
         payload["spawn_ready_seconds"] = {
             "count": len(spawns),
@@ -1370,6 +1390,9 @@ class ShardedPool:
                         del self._tasks[task.task_id]
                         raise ServingError("all worker shards are dead")
                     task.shard_id = shard.shard_id
+                    self._peak_in_flight = max(
+                        self._peak_in_flight, len(self._tasks)
+                    )
                     break
             # Corruption recovery is restoring the segment: hold
             # dispatch until it re-verifies, then retry the admission
@@ -1385,10 +1408,16 @@ class ShardedPool:
         return result
 
     def _pick_shard_locked(self) -> Optional[_Shard]:
-        alive = [s for s in self._shards if s.alive]
-        if not alive:
+        """The alive shard with the fewest tasks in flight; ties rotate."""
+        load = {s.shard_id: 0 for s in self._shards if s.alive}
+        if not load:
             return None
-        return alive[next(self._rr) % len(alive)]
+        for task in self._tasks.values():
+            if task.shard_id in load:
+                load[task.shard_id] += 1
+        fewest = min(load.values())
+        ties = [s for s in self._shards if s.alive and load[s.shard_id] == fewest]
+        return ties[next(self._rr) % len(ties)]
 
     # -- collector threads ----------------------------------------------
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -238,3 +240,83 @@ class TestMetricsWiring:
             int(size) * count
             for size, count in snapshot["batch_size_histogram"].items()
         ) == 8
+
+
+class TestSchedulerThreads:
+    def test_second_thread_does_not_split_an_open_window(self):
+        """A request arriving while one thread's batching window is
+        open joins that batch; the idle second thread waits its turn
+        instead of starting a batch of its own."""
+        runner = GatedRunner()
+        batcher = MicroBatcher(
+            runner, BatchPolicy(max_batch=4, max_wait_us=500_000.0), threads=2
+        )
+        try:
+            futures = [batcher.submit(0)]
+            time.sleep(0.02)  # the window is open, the batch is not full
+            futures.append(batcher.submit(1))
+            time.sleep(0.02)
+            futures += [batcher.submit(2), batcher.submit(3)]
+            assert [f.result(timeout=10.0) for f in futures] == [0, 2, 4, 6]
+        finally:
+            batcher.close()
+        assert runner.batches == [[0, 1, 2, 3]]
+
+    def test_four_threads_answer_every_request_exactly_once(self):
+        """More scheduler threads than cores, with a tiny GIL switch
+        interval: batches overlap, yet every request resolves once to
+        its own answer, no batch exceeds max_batch, and the metrics
+        count every row."""
+        lock = threading.Lock()
+        running = [0, 0]  # (now, peak) batches inside run_batch
+        sizes = []
+
+        def run_batch(payloads):
+            with lock:
+                running[0] += 1
+                running[1] = max(running)
+                sizes.append(len(payloads))
+            time.sleep(0.002)
+            with lock:
+                running[0] -= 1
+            return [p * 2 for p in payloads]
+
+        batcher = MicroBatcher(
+            run_batch,
+            BatchPolicy(max_batch=8, max_wait_us=1000.0),
+            name="stress",
+            threads=4,
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            futures = {}
+
+            def client(base):
+                for j in range(base, base + 100):
+                    futures[j] = batcher.submit(j)
+
+            clients = [
+                threading.Thread(target=client, args=(100 * k,))
+                for k in range(4)
+            ]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+            answers = {j: f.result(timeout=10.0) for j, f in futures.items()}
+        finally:
+            batcher.close()
+            sys.setswitchinterval(interval)
+        assert answers == {j: 2 * j for j in range(400)}
+        assert running[1] >= 2
+        assert sum(sizes) == 400 and max(sizes) <= 8
+        snapshot = batcher.metrics.snapshot()
+        assert snapshot["completed"] == 400
+        assert snapshot["latency_ms"]["count"] == 400
+        assert batcher.service_estimate() > 0.0
+        assert not [
+            t for t in threading.enumerate()
+            if t.name.startswith("repro-batcher-stress-")
+        ]

@@ -8,6 +8,7 @@ zero duplicated, bit-identical successes, supervisor recovery).
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -143,6 +144,49 @@ class TestInterceptor:
 
     def test_error_lottery_is_seed_deterministic(self):
         assert self._lottery(seed=7) == self._lottery(seed=7)
+
+    def test_error_lottery_is_seed_deterministic_across_two_threads(self):
+        """Batches drawn from two scheduler threads at once take the
+        same draws as serial batches: same multiset of outcomes, no
+        value drawn twice from two lazily built generators.  A tiny
+        GIL switch interval makes the threads interleave inside
+        ``before_batch``."""
+        draws = 40
+        serial = sorted(self._lottery(seed=7, draws=draws))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _trial in range(20):
+                self._two_thread_lottery(serial, draws)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def _two_thread_lottery(self, serial: list, draws: int) -> None:
+        interceptor = ChaosInterceptor(_burst_scenario(), seed=7)
+        interceptor.arm(time.perf_counter())
+        start = threading.Barrier(2)
+        outcomes = [[], []]
+
+        def draw(side):
+            start.wait()
+            for _ in range(draws // 2):
+                try:
+                    interceptor.before_batch("m", [(0, None, None)])
+                except ServingError:
+                    outcomes[side].append(True)
+                else:
+                    outcomes[side].append(False)
+
+        threads = [
+            threading.Thread(target=draw, args=(side,)) for side in (0, 1)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        assert sorted(outcomes[0] + outcomes[1]) == serial
+        assert interceptor.counters()["injected_errors"] == sum(serial)
 
     def test_error_lottery_varies_with_seed(self):
         assert self._lottery(seed=7) != self._lottery(seed=8)

@@ -155,6 +155,7 @@ class TestRenderReliability:
                 "quarantined": 1,
                 "quarantine_rejections": 2,
                 "deadline_shed": 1,
+                "peak_in_flight": 2,
                 "supervisor": {
                     "respawns": 1,
                     "crash_loop_trips": 0,
@@ -177,6 +178,7 @@ class TestRenderReliability:
         assert "breaker:   state open, 1 trip(s), 1 rejection(s)" in text
         assert "2 alive of 2" in text
         assert "3 requeued" in text
+        assert "peak 2 in flight" in text
         assert "supervisor: 1 respawn(s), 0 crash-loop trip(s)" in text
         assert "scenario:  smoke (seed 0)" in text
         assert "DeadlineExceeded=2" in text

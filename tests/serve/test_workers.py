@@ -133,7 +133,7 @@ class TestShardDeath:
     ):
         """Kill one of two shards, then keep serving: every request
         completes on the survivor with unchanged answers — including
-        requests round-robined onto the dead shard before the collector
+        requests dispatched onto the dead shard before the collector
         notices (the requeue path)."""
         _, test_set = digits_small
         reference = predict_batch(trained_snn, test_set.images)
@@ -143,9 +143,10 @@ class TestShardDeath:
             warmup = pool.run_batch("snnwt", [0, 1], None)
             np.testing.assert_array_equal(warmup, reference[[0, 1]])
             pool.kill_shard(0)
-            # Immediately hammer the pool; round-robin still targets
+            # Immediately hammer the pool; both shards are idle between
+            # these serial batches, so the tie rotation still targets
             # shard 0 until its collector detects the death and
-            # requeues, so this exercises recovery, not just routing.
+            # requeues: this exercises recovery, not just routing.
             for index in range(10):
                 got = pool.run_batch("snnwt", [index], None)
                 np.testing.assert_array_equal(got, reference[[index]])
