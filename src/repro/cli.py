@@ -37,14 +37,11 @@ Commands:
                                   print the instruction listing and
                                   buffer table (``--json`` for the
                                   machine-readable plan document with
-                                  stable keys; ``--backend NAME``
-                                  annotates availability and plan
-                                  support for one execution backend;
-                                  exit 2 on unknown kind or backend);
-* ``backends [--json]``         — list the registered plan-execution
-                                  backends with availability and the
-                                  selection precedence (flag >
-                                  ``REPRO_IR_BACKEND`` > default);
+                                  stable keys; exit 2 on unknown
+                                  kind).  Compiled plans run on one
+                                  executor, checked against one
+                                  oracle, the serial interpreter;
+                                  nothing selects between the two;
 * ``cache verify [options]``    — audit every artifact-cache entry
                                   against its SHA-256 sidecar (exit 1
                                   when any entry is corrupt;
@@ -454,7 +451,7 @@ def _finish_chaos(payload, args: argparse.Namespace, chaos_passed) -> int:
 
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:
-    from .core.errors import BackendError, ServingError
+    from .core.errors import ServingError
     from .serve.loadgen import KNOWN_MODELS, run_loadtest
     from .serve.metrics import dump_stats, render_stats
 
@@ -557,13 +554,9 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             deadline_ms=args.deadline_ms,
             max_retries=args.max_retries,
             engine=args.engine,
-            backend=args.backend,
             audit_rate=args.audit_rate,
             scrub_period=args.scrub_period,
         )
-    except BackendError as error:
-        print(error, file=sys.stderr)
-        return EXIT_USAGE
     except ServingError as error:
         print(error, file=sys.stderr)
         return 1
@@ -617,7 +610,6 @@ def _tiny_model_for_kind(kind: str):
 
 
 def _cmd_ir_dump(args: argparse.Namespace) -> int:
-    from .core.errors import BackendError
     from .ir import PLAN_KINDS, compile_model
 
     if args.kind not in PLAN_KINDS:
@@ -626,67 +618,11 @@ def _cmd_ir_dump(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    engine = None
-    if args.backend is not None:
-        from .ir.backends import get_backend
-
-        try:
-            engine = get_backend(args.backend, require_available=False)
-        except BackendError as error:
-            print(error, file=sys.stderr)
-            return EXIT_USAGE
     plan = compile_model(_tiny_model_for_kind(args.kind), kind=args.kind)
-    backend_doc = None
-    if engine is not None:
-        backend_doc = engine.describe()
-        backend_doc["supports_plan"] = engine.supports(plan) is None
-        backend_doc["refusal"] = engine.supports(plan)
     if args.json:
-        doc = plan.to_doc()
-        if backend_doc is not None:
-            doc["backend"] = backend_doc
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(plan.to_doc(), indent=2, sort_keys=True))
     else:
         print(plan.listing())
-        if backend_doc is not None:
-            status = (
-                "available"
-                if backend_doc["available"]
-                else f"unavailable ({backend_doc['unavailable_reason']})"
-            )
-            verdict = (
-                "supports this plan"
-                if backend_doc["supports_plan"]
-                else f"refuses this plan: {backend_doc['refusal']}"
-            )
-            print(f"backend {backend_doc['name']}: {status}; {verdict}")
-    return 0
-
-
-def _cmd_backends(args: argparse.Namespace) -> int:
-    from .ir.backends import DEFAULT_BACKEND, ENV_VAR, list_backends
-
-    entries = list_backends()
-    if args.json:
-        doc = {
-            "backends": entries,
-            "default": DEFAULT_BACKEND,
-            "env_var": ENV_VAR,
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-    for entry in entries:
-        marker = "*" if entry["default"] else " "
-        status = (
-            "available"
-            if entry["available"]
-            else f"unavailable: {entry['unavailable_reason']}"
-        )
-        print(f"{marker} {entry['name']:<12} {status:<12} {entry['description']}")
-    print(
-        f"* = default; precedence: --backend flag > ${ENV_VAR} > "
-        f"{DEFAULT_BACKEND}"
-    )
     return 0
 
 
@@ -1095,15 +1031,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=("plan", "legacy"),
         default="plan",
-        help="execution backend: compiled IR plans (default) or the "
+        help="execution engine: compiled IR plans (default) or the "
         "historical per-model runners",
-    )
-    loadtest.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="plan-execution backend (see 'repro backends'; default: "
-        "$REPRO_IR_BACKEND, then numpy-tiled; exit 2 on unknown)",
     )
     loadtest.add_argument(
         "--audit-rate",
@@ -1231,26 +1160,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the plan document as stable-keys JSON",
     )
-    ir_dump.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="annotate one execution backend's availability and whether "
-        "it supports the compiled plan (exit 2 on unknown backend)",
-    )
     ir_dump.set_defaults(fn=_cmd_ir_dump)
-
-    backends = subparsers.add_parser(
-        "backends",
-        help="list the registered plan-execution backends and their "
-        "availability",
-    )
-    backends.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the backend listing as stable-keys JSON",
-    )
-    backends.set_defaults(fn=_cmd_backends)
 
     cache = subparsers.add_parser(
         "cache", help="artifact-cache maintenance (verify integrity)"

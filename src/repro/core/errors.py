@@ -55,26 +55,6 @@ class CompileError(ReproError):
     """
 
 
-class BackendError(ReproError):
-    """An execution backend is unknown or unavailable.
-
-    Raised by :mod:`repro.ir.backends` when a backend name does not
-    resolve in the registry or when a registered backend's optional
-    dependency (torch, jax) is missing.  CLI entry points map this to
-    the usage exit code.
-    """
-
-
-class BackendUnsupported(BackendError):
-    """A backend refuses a plan it cannot execute bit-identically.
-
-    Typed so dispatch layers can distinguish "this backend exists but
-    does not cover this plan" (e.g. ``int8-tiled`` offered a float-only
-    plan) from an unknown backend name.  The message names the
-    offending instruction or buffer.
-    """
-
-
 class ServingError(ReproError):
     """The inference serving layer could not accept or complete a request."""
 

@@ -4,23 +4,18 @@ Public surface:
 
 * :mod:`repro.ir.ops` — the instruction set and :class:`CompiledPlan`.
 * :mod:`repro.ir.compile` — ``compile_model`` lowerings.
-* :mod:`repro.ir.interpret` — ``run_plan_serial``, the golden model.
-* :mod:`repro.ir.execute` — ``run_plan``, the vectorized hot path.
-* :mod:`repro.ir.backends` — the pluggable execution-backend registry
-  (serial / numpy / numpy-tiled / int8-tiled / torch / jax).
+* :mod:`repro.ir.execute` — ``run_plan``, the one plan executor (the
+  tiled kernels of :mod:`repro.ir.backends`), and the numeric
+  sentinels around it.
+* :mod:`repro.ir.interpret` — ``run_plan_serial``, the golden model
+  and the only other execution path: the oracle that tests and the
+  serving audit lane compare against.  Nothing selects between the
+  two.
 * :mod:`repro.ir.plan_cache` — compile-once memo + content-addressed
   spike-train bundles.
 * :mod:`repro.ir.cyclesim` — IR-driven cycle-accurate sweep pricing.
 """
 
-from .backends import (
-    DEFAULT_BACKEND,
-    available_backends,
-    get_backend,
-    list_backends,
-    register_backend,
-    resolve_backend_name,
-)
 from .compile import PLAN_KINDS, compile_model, kind_of
 from .execute import run_plan
 from .interpret import run_plan_serial
@@ -34,23 +29,17 @@ from .plan_cache import get_plan, plan_cache_stats, reset_plan_cache
 from .runtime import ExecutionContext
 
 __all__ = [
-    "DEFAULT_BACKEND",
     "PLAN_CODE_VERSION",
     "PLAN_KINDS",
     "BufferSpec",
     "CompiledPlan",
     "ExecutionContext",
     "Instruction",
-    "available_backends",
     "compile_model",
-    "get_backend",
     "get_plan",
     "kind_of",
-    "list_backends",
     "plan_cache_stats",
-    "register_backend",
     "reset_plan_cache",
-    "resolve_backend_name",
     "run_plan",
     "run_plan_serial",
 ]

@@ -1,145 +1,11 @@
-"""Pluggable execution backends for compiled plans.
+"""The tiled plan executor and its kernels.
 
-The registry routes :func:`repro.ir.execute.run_plan` to one of several
-interchangeable engines.  The conformance contract is uniform: a
-backend either produces output **bitwise identical** to the NumPy-serial
-golden interpreter for a plan, or refuses that plan up front with a
-typed :class:`~repro.core.errors.BackendUnsupported` — asserted by the
-``tests/ir`` golden/property suites, which parametrize over every
-backend available in the environment.
+* :mod:`.numpy_tiled` — the executor :func:`repro.ir.execute.run_plan`
+  dispatches to: fused pairs, tiled exact integer GEMVs, the LIF scan
+  readout and threaded row blocks over the runtime's shared walk.
+* :mod:`.tiles` — the cache-blocked and fused GEMV kernels.
+* :mod:`.lif_scan` — the chunked first-spike scan for the timed SNN.
 
-Selection precedence (resolved by :func:`resolve_backend_name`):
-
-1. an explicit name (``--backend`` flags, ``backend=`` keywords),
-2. the ``REPRO_IR_BACKEND`` environment variable,
-3. the default, ``numpy-tiled``.
-
-Shipped backends:
-
-========== ==================================================================
-serial      the golden interpreter (the oracle; one row at a time)
-numpy       the PR 8 single-walk vectorized executor (the bench baseline)
-numpy-tiled fused/tiled kernels + LIF scan + threaded row blocks (default)
-int8-tiled  int8/uint8 storage, int32 accumulates; quantized plans only
-torch       optional torch plugin (unavailable unless torch is installed)
-jax         optional jax plugin (unavailable unless jax is installed)
-========== ==================================================================
-
-Unknown names raise :class:`~repro.core.errors.BackendError` — mapped to
-the usage exit code by every CLI entry point that accepts a backend.
+Every kernel here is bitwise-equal to the serial interpreter
+(:func:`repro.ir.interpret.run_plan_serial`), the one oracle.
 """
-
-from __future__ import annotations
-
-import os
-from typing import Dict, List, Optional
-
-from ...core.errors import BackendError, BackendUnsupported  # noqa: F401
-from .base import ExecutionBackend
-from .int8_tiled import Int8TiledBackend
-from .jax_backend import JaxBackend
-from .numpy_tiled import NumpyTiledBackend
-from .reference import NumpyBackend, SerialBackend
-from .torch_backend import TorchBackend
-
-#: The backend ``resolve_backend_name`` falls back to.
-DEFAULT_BACKEND = "numpy-tiled"
-
-#: Environment override consulted between explicit flags and the default.
-ENV_VAR = "REPRO_IR_BACKEND"
-
-_REGISTRY: "Dict[str, ExecutionBackend]" = {}
-
-
-def register_backend(backend: ExecutionBackend) -> ExecutionBackend:
-    """Add a backend instance to the registry (name collisions replace)."""
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-for _backend in (
-    SerialBackend(),
-    NumpyBackend(),
-    NumpyTiledBackend(),
-    Int8TiledBackend(),
-    TorchBackend(),
-    JaxBackend(),
-):
-    register_backend(_backend)
-
-
-def backend_names() -> List[str]:
-    """Registered names, in registration order."""
-    return list(_REGISTRY)
-
-
-def get_backend(
-    name: str, require_available: bool = True
-) -> ExecutionBackend:
-    """Look up a backend by name.
-
-    Raises :class:`BackendError` for unknown names and (by default) for
-    registered-but-unavailable plugins; pass
-    ``require_available=False`` to inspect an unavailable backend's
-    status (the ``repro backends`` listing).
-    """
-    backend = _REGISTRY.get(str(name))
-    if backend is None:
-        known = ", ".join(backend_names())
-        raise BackendError(
-            f"unknown execution backend {name!r} (registered: {known})"
-        )
-    if require_available:
-        backend.require_available()
-    return backend
-
-
-def available_backends() -> List[str]:
-    """Names of backends that can run in this environment."""
-    return [
-        name
-        for name, backend in _REGISTRY.items()
-        if backend.available()
-    ]
-
-
-def list_backends() -> List[Dict]:
-    """Status documents for every registered backend (CLI listing)."""
-    docs = []
-    for name, backend in _REGISTRY.items():
-        doc = backend.describe()
-        doc["default"] = name == DEFAULT_BACKEND
-        docs.append(doc)
-    return docs
-
-
-def resolve_backend_name(name: Optional[str] = None) -> str:
-    """Apply the flag > env > default precedence; validate the result.
-
-    Raises :class:`BackendError` for names (explicit or from
-    ``REPRO_IR_BACKEND``) that are not registered, so a typo'd
-    environment never silently falls back to the default.
-    """
-    if name:
-        get_backend(name, require_available=False)
-        return str(name)
-    env = os.environ.get(ENV_VAR, "").strip()
-    if env:
-        get_backend(env, require_available=False)
-        return env
-    return DEFAULT_BACKEND
-
-
-__all__ = [
-    "DEFAULT_BACKEND",
-    "ENV_VAR",
-    "BackendError",
-    "BackendUnsupported",
-    "ExecutionBackend",
-    "available_backends",
-    "backend_names",
-    "get_backend",
-    "list_backends",
-    "register_backend",
-    "resolve_backend_name",
-]

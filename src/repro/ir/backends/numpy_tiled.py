@@ -1,7 +1,9 @@
-"""The ``numpy-tiled`` backend — the default plan executor.
+"""The tiled executor behind :func:`repro.ir.execute.run_plan`.
 
-Three optimizations over the PR 8 single-walk executor, each gated on a
-*provable* bit-identity argument (never an empirical one):
+It runs a plan through the runtime's one opcode switch
+(:func:`repro.ir.runtime.execute_instructions`) and hands a step to a
+faster kernel only where that kernel is *provably* bit-identical to
+the serial interpreter's (never empirically):
 
 * **Peephole fusion.**  Adjacent QUANT+GEMV(int64) pairs collapse into
   one exact dgemm over float64 codes (the quantized MLP's two hidden /
@@ -10,10 +12,10 @@ Three optimizations over the PR 8 single-walk executor, each gated on a
   score matrix.  Fusion only fires when the intermediate buffer is
   consumed exactly once and is not a plan output, so the skipped
   materializations are unobservable.
-* **Tiled integer accumulates.**  Every int64 GEMV routes through the
-  exact-dgemm trick in :mod:`.tiles` (~3x the int64 matmul) with
-  L2-sized row tiles — integer sums are order-exact, so tiling cannot
-  change a bit.
+* **Tiled integer accumulates.**  Every other int64 GEMV routes
+  through the exact-dgemm trick in :mod:`.tiles` (~3x the int64
+  matmul) with L2-sized row tiles — integer sums are order-exact, so
+  tiling cannot change a bit.
 * **LIF scan + threaded row blocks.**  The timed SNN readout runs the
   chunked linear-recurrence scan (:mod:`.lif_scan`) when its
   preconditions hold, falling back to the batched grid wholesale
@@ -25,31 +27,32 @@ Three optimizations over the PR 8 single-walk executor, each gated on a
   scheduled and concatenated in deterministic index order, and each
   op's row independence makes the merged result bitwise the
   single-block walk regardless of thread timing.
+* **Bulk LFSR.**  LFSR_FILL runs the GF(2)-dilation bulk generator
+  instead of the scalar bit-walk.
 
 ``REPRO_IR_THREADS`` caps the worker count (default: the machine's
-cores); ``REPRO_IR_TILE_BYTES`` sets the L2 tile budget.
+cores).
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ...core.errors import CompileError
 from .. import kernels, ops
 from ..ops import CompiledPlan, Instruction
 from ..runtime import (
     ExecutionContext,
-    _act,
+    Substitution,
     execute_instructions,
     gather_outputs,
+    input_block,
     resolve_indices,
 )
 from . import lif_scan, tiles
-from .base import ExecutionBackend
 
 #: Ops that process batch rows independently and bitwise identically
 #: regardless of batch composition (see module docstring) — the
@@ -98,20 +101,85 @@ def rowwise_exact(plan: CompiledPlan) -> bool:
     return True
 
 
-# -- peephole fusion --------------------------------------------------------
+# -- substituted kernels ----------------------------------------------------
+#
+# Each runs one step of the walk in place of the serial interpreter's
+# kernels and writes bitwise the same values into ``env``.
 
-#: One execution step: an unfused instruction or a fused pair.
-_Step = Tuple[str, Tuple[Instruction, ...]]
+
+def _quant_gemv(group, env, indices, ctx) -> None:
+    quant, gemv = group
+    acc = tiles.fused_quant_gemv(
+        env[quant.srcs[0]],
+        float(quant.param("scale")),
+        int(quant.param("min_code")),
+        int(quant.param("max_code")),
+        env[gemv.srcs[1]],
+    )
+    if acc is None:  # exactness bound not certifiable: unfuse
+        codes = kernels.quantize(
+            env[quant.srcs[0]],
+            float(quant.param("scale")),
+            int(quant.param("min_code")),
+            int(quant.param("max_code")),
+        )
+        env[quant.dst] = codes
+        acc = tiles.tiled_gemv(codes, env[gemv.srcs[1]], cast="int64")
+    env[gemv.dst] = acc
 
 
-def fusion_steps(plan: CompiledPlan) -> List[_Step]:
-    """The plan's instruction stream with safe peepholes collapsed.
+def _gemv_thresh(group, env, indices, ctx) -> None:
+    gemv, thresh = group
+    env[thresh.dst] = tiles.fused_gemv_thresh(
+        env[gemv.srcs[0]], env[gemv.srcs[1]]
+    )
+
+
+def _int_gemv(group, env, indices, ctx) -> None:
+    (inst,) = group
+    env[inst.dst] = tiles.tiled_gemv(
+        env[inst.srcs[0]], env[inst.srcs[1]], cast="int64"
+    )
+
+
+def _lif_readout(group, env, indices, ctx) -> None:
+    """The first-spike scan when its preconditions hold, else the grid."""
+    from ...snn.batched import DEFAULT_BATCH_SIZE, batch_winners
+
+    (inst,) = group
+    trains = ctx.trains_for(env[inst.srcs[0]], indices)
+    network = ctx.network
+    if lif_scan.scan_refusal(network, trains) is None:
+        winners = lif_scan.scan_winners(network, trains)
+    else:
+        winners = batch_winners(
+            network, trains, batch_size=DEFAULT_BATCH_SIZE
+        )
+    env[inst.dst] = np.asarray(winners, dtype=np.int64)
+
+
+def _lfsr_fill(group, env, indices, ctx) -> None:
+    (inst,) = group
+    env[inst.dst] = kernels.lfsr_gaussian(
+        tuple(inst.param("seeds")),
+        int(inst.param("resolution")),
+        int(inst.param("count")),
+        vectorized=True,
+    )
+
+
+def fusion_steps(
+    plan: CompiledPlan,
+) -> List[Union[Instruction, Substitution]]:
+    """The tiled walk's steps: the plan with its substitutions made.
 
     A pair fuses only when the intermediate is consumed exactly once
     (by the pair's second op) and is not a plan output; the fused
     QUANT+GEMV additionally requires every consumer of the accumulate
     to be SCALE, since the fused kernel leaves the exact integer
-    values in float64 rather than int64.
+    values in float64 rather than int64.  Unfused int64 GEMVs,
+    LIF_STEP and LFSR_FILL get their tiled kernels; every other
+    instruction runs on the shared opcode switch.
     """
     reads: Dict[str, int] = {}
     consumers: Dict[str, List[str]] = {}
@@ -121,7 +189,7 @@ def fusion_steps(plan: CompiledPlan) -> List[_Step]:
             consumers.setdefault(src, []).append(inst.op)
     outputs = set(plan.outputs)
 
-    steps: List[_Step] = []
+    steps: List[Union[Instruction, Substitution]] = []
     stream = plan.instructions
     i = 0
     while i < len(stream):
@@ -138,7 +206,7 @@ def fusion_steps(plan: CompiledPlan) -> List[_Step]:
             and nxt.dst not in outputs
             and all(op == ops.SCALE for op in consumers.get(nxt.dst, []))
         ):
-            steps.append(("quant_gemv", (inst, nxt)))
+            steps.append((_quant_gemv, (inst, nxt)))
             i += 2
             continue
         if (
@@ -150,145 +218,23 @@ def fusion_steps(plan: CompiledPlan) -> List[_Step]:
             and reads.get(inst.dst, 0) == 1
             and inst.dst not in outputs
         ):
-            steps.append(("gemv_thresh", (inst, nxt)))
+            steps.append((_gemv_thresh, (inst, nxt)))
             i += 2
             continue
-        steps.append(("inst", (inst,)))
+        if inst.op == ops.GEMV and inst.param("cast", "") == "int64":
+            steps.append((_int_gemv, (inst,)))
+        elif inst.op == ops.LIF_STEP:
+            steps.append((_lif_readout, (inst,)))
+        elif inst.op == ops.LFSR_FILL:
+            steps.append((_lfsr_fill, (inst,)))
+        else:
+            steps.append(inst)
         i += 1
     return steps
 
 
-def _execute_steps(
-    plan: CompiledPlan,
-    steps: List[_Step],
-    inputs: Optional[np.ndarray],
-    indices: Sequence[int],
-    ctx: ExecutionContext,
-) -> Dict[str, np.ndarray]:
-    """One fused/tiled walk over one row block (vectorized semantics)."""
-    env: Dict[str, np.ndarray] = {}
-    for kind, group in steps:
-        if kind == "quant_gemv":
-            quant, gemv = group
-            acc = tiles.fused_quant_gemv(
-                env[quant.srcs[0]],
-                float(quant.param("scale")),
-                int(quant.param("min_code")),
-                int(quant.param("max_code")),
-                env[gemv.srcs[1]],
-            )
-            if acc is None:  # exactness bound not certifiable: unfuse
-                codes = kernels.quantize(
-                    env[quant.srcs[0]],
-                    float(quant.param("scale")),
-                    int(quant.param("min_code")),
-                    int(quant.param("max_code")),
-                )
-                env[quant.dst] = codes
-                acc = tiles.tiled_gemv(codes, env[gemv.srcs[1]], cast="int64")
-            env[gemv.dst] = acc
-            continue
-        if kind == "gemv_thresh":
-            gemv, thresh = group
-            env[thresh.dst] = tiles.fused_gemv_thresh(
-                env[gemv.srcs[0]], env[gemv.srcs[1]]
-            )
-            continue
-        inst = group[0]
-        if inst.op == ops.GEMV:
-            env[inst.dst] = tiles.tiled_gemv(
-                env[inst.srcs[0]],
-                env[inst.srcs[1]],
-                cast=inst.param("cast", ""),
-            )
-        elif inst.op == ops.LIF_STEP:
-            env[inst.dst] = _lif_readout(inst, env, indices, ctx)
-        elif inst.op == ops.LOAD_V:
-            if inputs is None:
-                raise CompileError(
-                    f"plan {plan.kind!r} expects an input batch"
-                )
-            block = np.atleast_2d(np.asarray(inputs))
-            if inst.param("transform") == "norm01":
-                block = block.astype(np.float64) / 255.0
-            env[inst.dst] = block
-        elif inst.op == ops.LOAD_M:
-            env[inst.dst] = plan.consts[inst.dst]
-        elif inst.op == ops.ADD:
-            env[inst.dst] = env[inst.srcs[0]] + env[inst.srcs[1]]
-        elif inst.op == ops.SCALE:
-            env[inst.dst] = kernels.scale(
-                env[inst.srcs[0]], float(inst.param("scale"))
-            )
-        elif inst.op == ops.RELU:
-            env[inst.dst] = kernels.relu(env[inst.srcs[0]])
-        elif inst.op == ops.ACT:
-            env[inst.dst] = _act(inst, env)
-        elif inst.op == ops.QUANT:
-            env[inst.dst] = kernels.quantize(
-                env[inst.srcs[0]],
-                float(inst.param("scale")),
-                int(inst.param("min_code")),
-                int(inst.param("max_code")),
-            )
-        elif inst.op == ops.COUNTS:
-            env[inst.dst] = kernels.counts(
-                env[inst.srcs[0]],
-                float(inst.param("duration")),
-                float(inst.param("max_rate_interval")),
-            )
-        elif inst.op == ops.THRESH:
-            env[inst.dst] = kernels.argmax_rows(env[inst.srcs[0]])
-        elif inst.op == ops.TAKE:
-            env[inst.dst] = np.asarray(env[inst.srcs[1]])[env[inst.srcs[0]]]
-        elif inst.op == ops.LFSR_FILL:
-            env[inst.dst] = kernels.lfsr_gaussian(
-                tuple(inst.param("seeds")),
-                int(inst.param("resolution")),
-                int(inst.param("count")),
-                vectorized=True,
-            )
-        elif inst.op == ops.STORE:
-            env[inst.dst] = env[inst.srcs[0]]
-        else:  # pragma: no cover - OPCODES is closed
-            raise CompileError(f"unhandled opcode {inst.op!r}")
-    return env
-
-
-def _lif_readout(
-    inst: Instruction,
-    env: Dict[str, np.ndarray],
-    indices: Sequence[int],
-    ctx: ExecutionContext,
-) -> np.ndarray:
-    from ...snn.batched import DEFAULT_BATCH_SIZE, batch_winners
-
-    rows = env[inst.srcs[0]]
-    for index in indices:
-        if int(index) < 0:
-            raise CompileError(
-                "LIF_STEP needs a dataset index per row; the per-image "
-                "RNG stream is keyed by index"
-            )
-    trains = ctx.trains_for(rows, indices)
-    network = ctx.network
-    if lif_scan.scan_refusal(network, trains) is None:
-        winners = lif_scan.scan_winners(network, trains)
-    else:
-        winners = batch_winners(
-            network, trains, batch_size=DEFAULT_BATCH_SIZE
-        )
-    return np.asarray(winners, dtype=np.int64)
-
-
-class NumpyTiledBackend(ExecutionBackend):
+class NumpyTiledBackend:
     """Cache-blocked, fused, optionally threaded NumPy executor."""
-
-    name = "numpy-tiled"
-    description = (
-        "fused/tiled NumPy kernels, LIF first-spike scan, threaded "
-        "row blocks (default)"
-    )
 
     def run(
         self,
@@ -299,28 +245,21 @@ class NumpyTiledBackend(ExecutionBackend):
     ) -> Any:
         if ctx is None:
             ctx = ExecutionContext(plan)
-        has_input = any(
-            inst.op == ops.LOAD_V for inst in plan.instructions
-        )
-        if not has_input:
-            env = execute_instructions(plan, None, [], ctx, vectorized=True)
-            return gather_outputs(plan, env)
-        block = np.atleast_2d(np.asarray(images))
-        row_indices = resolve_indices(plan, block, indices)
         steps = fusion_steps(plan)
+        block = input_block(plan, images)
+        if block is None:
+            env = execute_instructions(plan, steps, None, [], ctx)
+            return gather_outputs(plan, env)
+        row_indices = resolve_indices(plan, block, indices)
         blocks = self._schedule(plan, block, row_indices, ctx)
         if len(blocks) == 1:
-            start, stop = blocks[0]
-            env = _execute_steps(
-                plan, steps, block[start:stop],
-                row_indices[start:stop], ctx,
-            )
+            env = execute_instructions(plan, steps, block, row_indices, ctx)
             return gather_outputs(plan, env)
         workers = min(worker_count(), len(blocks))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(
-                    _execute_steps,
+                    execute_instructions,
                     plan,
                     steps,
                     block[start:stop],

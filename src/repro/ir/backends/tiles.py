@@ -1,4 +1,4 @@
-"""Cache-blocked and fused GEMV/GEMM tile kernels (numpy-tiled backend).
+"""Cache-blocked and fused GEMV/GEMM tile kernels (the tiled executor).
 
 Bit-identity is the design constraint, so every fast path here is
 *provably* exact, not approximately equal:
@@ -28,7 +28,6 @@ Bit-identity is the design constraint, so every fast path here is
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -36,7 +35,7 @@ import numpy as np
 #: Largest |sum| for which float64 accumulation of integers is exact.
 _EXACT_F64_BOUND = float(2**53)
 
-#: Default per-tile working-set budget (bytes) — sized to a typical L2.
+#: Per-tile working-set budget (bytes) — sized to a typical L2.
 DEFAULT_TILE_BYTES = 256 * 1024
 
 #: Column-tile width for the fused GEMV+THRESH readout.  Wider than
@@ -44,16 +43,6 @@ DEFAULT_TILE_BYTES = 256 * 1024
 #: (bitwise the unfused kernel); the multi-tile path is covered by the
 #: kernel tests with provably exact integer-valued inputs.
 DEFAULT_COL_TILE = 512
-
-
-def tile_bytes() -> int:
-    """The L2 tile budget (``REPRO_IR_TILE_BYTES`` overrides)."""
-    raw = os.environ.get("REPRO_IR_TILE_BYTES", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_TILE_BYTES
-    return value if value > 0 else DEFAULT_TILE_BYTES
 
 
 def row_blocks(
@@ -68,7 +57,7 @@ def row_blocks(
     """
     if n_rows <= 0:
         return [(0, 0)]
-    budget = tile_bytes() if target_bytes is None else int(target_bytes)
+    budget = DEFAULT_TILE_BYTES if target_bytes is None else int(target_bytes)
     rows = max(1, budget // max(1, int(row_bytes)))
     return [
         (start, min(start + rows, n_rows))
@@ -102,7 +91,7 @@ def exact_int_gemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def tiled_gemv(x: np.ndarray, w: np.ndarray, cast: str = "") -> np.ndarray:
-    """The backend GEMV: tiled/exact integer path, single-call float path.
+    """The tiled GEMV: tiled/exact integer path, single-call float path.
 
     ``cast="int64"`` routes through :func:`exact_int_gemm`, row-tiled to
     the L2 budget (integer sums are order-exact, so tiling is free).

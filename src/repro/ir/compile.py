@@ -20,7 +20,7 @@ and emits the exact legacy forward pass as an instruction sequence:
   LIF_STEP carries weights/thresholds as consts and config/coder/seed/
   stream as metadata; executors encode ``child_rng(seed, stream, i)``
   spike trains and run the WTA grid (serial: one image at a time;
-  vectorized: the PR 2 batched engine).
+  tiled: the first-spike scan, or the batched grid).
 
 Models with a live spike-affecting fault injector refuse to compile
 (:class:`~repro.core.errors.CompileError`) — run-time corruption is not

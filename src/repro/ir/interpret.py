@@ -3,9 +3,9 @@
 Feeds one ``(1, n)`` row block at a time through the shared instruction
 walk, so every matrix product is a one-row GEMM and the timed SNN runs
 one image through the grid per step.  This is the reference the
-per-model-kind golden tests pin to the retained legacy oracles, and the
-reference the vectorized executor is asserted bitwise-equal to — the
-two assertions that replace the old per-pair equivalence suites.
+per-model-kind golden tests pin to the retained legacy oracles, the
+reference the tiled executor is asserted bitwise-equal to, and the
+oracle the serving audit lane re-executes sampled batches on.
 
 Row blocks stay 2-D on purpose: float64 ``X @ W.T`` rows are bitwise
 independent of the batch they ride in (the dgemm row-independence the
@@ -19,12 +19,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import ops
+from .execute import run_guarded
 from .ops import CompiledPlan
 from .runtime import (
     ExecutionContext,
     execute_instructions,
     gather_outputs,
+    input_block,
     resolve_indices,
 )
 
@@ -38,28 +39,32 @@ def run_plan_serial(
     """Execute a plan one input row at a time (the golden model).
 
     Returns the plan's output array (or a tuple for multi-output
-    programs), identical in shape to the vectorized executor's result.
-    Plans with no LOAD_V (pure generator programs, e.g. LFSR_FILL
-    property tests) execute once — their dataflow has no batch axis.
+    programs), identical in shape to :func:`repro.ir.execute.run_plan`'s
+    result, behind the same numeric sentinels.  Plans with no LOAD_V
+    (pure generator programs, e.g. LFSR_FILL property tests) execute
+    once — their dataflow has no batch axis.
     """
+    return run_guarded(_run_serial, plan, images, indices, ctx)
+
+
+def _run_serial(plan, images, indices, ctx):
     if ctx is None:
         ctx = ExecutionContext(plan)
-    has_input = any(inst.op == ops.LOAD_V for inst in plan.instructions)
-    if not has_input:
-        env = execute_instructions(plan, None, [], ctx, vectorized=False)
+    block = input_block(plan, images)
+    if block is None:
+        env = execute_instructions(plan, plan.instructions, None, [], ctx)
         return gather_outputs(plan, env)
-    block = np.atleast_2d(np.asarray(images))
     row_indices = resolve_indices(plan, block, indices)
-    per_row = []
-    for i in range(len(block)):
-        env = execute_instructions(
+    per_row = [
+        execute_instructions(
             plan,
+            plan.instructions,
             block[i : i + 1],
             row_indices[i : i + 1],
             ctx,
-            vectorized=False,
         )
-        per_row.append(env)
+        for i in range(len(block))
+    ]
     outputs = []
     for name in plan.outputs:
         outputs.append(

@@ -4,7 +4,7 @@ Every kernel here replicates — operation for operation, in the same
 float order — the exact NumPy expressions of the legacy model forward
 passes (``mlp/activations.py``, ``mlp/quantized.py``,
 ``fixedpoint/qformat.py``, ``snn/coding.py``), so the serial
-interpreter and the vectorized executor produce bitwise-identical
+interpreter and the tiled executor produce bitwise-identical
 results to the retained oracles.  Do not "simplify" an expression here
 without re-deriving bit-identity: e.g. the two sequential SCALEs of the
 quantized datapath are *not* one multiply by the product of the scales.

@@ -21,7 +21,7 @@ ADD        ``dst = x + b`` (bias row broadcast against the batch)
 SCALE      ``dst = float64(x) * scale`` — one fixed-point rescale step;
            the quantized MLP emits *two* sequential SCALEs to reproduce
            its left-to-right ``accum * act_scale * w_scale`` float order
-RELU       ``dst = maximum(x, 0)`` (backends/property tests; the paper's
+RELU       ``dst = maximum(x, 0)`` (property tests; the paper's
            models use sigmoid/step/LUT activations via ACT)
 ACT        activation: ``kernel`` param selects ``sigmoid`` (stable
            two-branch, ``slope`` param), ``step`` (``x > 0``), or ``lut``

@@ -1,19 +1,21 @@
 """Shared plan-execution machinery for the two IR executors.
 
-Both executors walk the same instruction stream with the same kernels;
-they differ only in *shape discipline* — the serial interpreter (the
-golden model) feeds one ``(1, n)`` row block at a time, the vectorized
-executor feeds the whole ``(B, n)`` batch — and in which variant of the
-two stateful ops they run (LIF_STEP per-image vs batched grid,
-LFSR_FILL scalar bit-walk vs bulk leap).  Everything else is the same
-code path, which is what makes the bit-identity contract a property of
-this module instead of a per-pair test suite.
+Both executors run a plan through the one opcode switch in
+:func:`execute_instructions`.  They differ only in *shape discipline*
+— the serial interpreter (the golden model) feeds one ``(1, n)`` row
+block at a time, the tiled executor
+(:mod:`repro.ir.backends.numpy_tiled`) whole row blocks — and in the
+few steps the tiled executor hands to a faster kernel with the same
+bits (the fused pairs, the exact integer GEMV, the LIF scan readout,
+the bulk LFSR).  Every other opcode runs the same code in both, which
+is what makes the bit-identity contract a property of this module
+instead of a per-pair test suite.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -136,24 +138,11 @@ def _lif_step(
     env: Dict[str, np.ndarray],
     indices: Sequence[int],
     ctx: ExecutionContext,
-    vectorized: bool,
 ) -> np.ndarray:
-    from ..snn.batched import DEFAULT_BATCH_SIZE, batch_winners
+    """The golden LIF readout: one image through the grid at a time."""
+    from ..snn.batched import batch_winners
 
-    rows = env[inst.srcs[0]]
-    for index in indices:
-        if int(index) < 0:
-            raise CompileError(
-                "LIF_STEP needs a dataset index per row; the per-image "
-                "RNG stream is keyed by index"
-            )
-    trains = ctx.trains_for(rows, indices)
-    if vectorized:
-        winners = batch_winners(
-            ctx.network, trains, batch_size=DEFAULT_BATCH_SIZE
-        )
-        return np.asarray(winners, dtype=np.int64)
-    # Golden model: one image through the grid at a time.
+    trains = ctx.trains_for(env[inst.srcs[0]], indices)
     winners = [
         int(batch_winners(ctx.network, [train], batch_size=1)[0])
         for train in trains
@@ -161,22 +150,36 @@ def _lif_step(
     return np.asarray(winners, dtype=np.int64)
 
 
+#: A step the tiled executor runs in place of one or two instructions:
+#: ``kernel(instructions, env, indices, ctx)`` writes their results
+#: into ``env``.
+Substitution = Tuple[Callable[..., None], Tuple[Instruction, ...]]
+
+
 def execute_instructions(
     plan: CompiledPlan,
+    steps: Sequence[Union[Instruction, Substitution]],
     inputs: Optional[np.ndarray],
     indices: Sequence[int],
     ctx: ExecutionContext,
-    vectorized: bool,
 ) -> Dict[str, np.ndarray]:
-    """Walk one plan over one input block; returns the final env."""
+    """Walk ``steps`` over one ``(B, n)`` input block; returns the env.
+
+    A bare :class:`Instruction` runs through the opcode switch below,
+    on the serial interpreter's kernels (the serial interpreter passes
+    ``plan.instructions`` unchanged).  A ``(kernel, instructions)``
+    substitution runs ``kernel`` instead — see
+    :func:`repro.ir.backends.numpy_tiled.fusion_steps`.
+    """
     env: Dict[str, np.ndarray] = {}
-    for inst in plan.instructions:
+    for step in steps:
+        if isinstance(step, tuple):
+            kernel, group = step
+            kernel(group, env, indices, ctx)
+            continue
+        inst = step
         if inst.op == ops.LOAD_V:
-            if inputs is None:
-                raise CompileError(
-                    f"plan {plan.kind!r} expects an input batch"
-                )
-            block = np.atleast_2d(np.asarray(inputs))
+            block = inputs
             if inst.param("transform") == "norm01":
                 block = block.astype(np.float64) / 255.0
             env[inst.dst] = block
@@ -211,7 +214,7 @@ def execute_instructions(
                 float(inst.param("max_rate_interval")),
             )
         elif inst.op == ops.LIF_STEP:
-            env[inst.dst] = _lif_step(inst, env, indices, ctx, vectorized)
+            env[inst.dst] = _lif_step(inst, env, indices, ctx)
         elif inst.op == ops.THRESH:
             env[inst.dst] = kernels.argmax_rows(env[inst.srcs[0]])
         elif inst.op == ops.TAKE:
@@ -221,7 +224,7 @@ def execute_instructions(
                 tuple(inst.param("seeds")),
                 int(inst.param("resolution")),
                 int(inst.param("count")),
-                vectorized=vectorized,
+                vectorized=False,
             )
         elif inst.op == ops.STORE:
             env[inst.dst] = env[inst.srcs[0]]
@@ -230,17 +233,49 @@ def execute_instructions(
     return env
 
 
+def input_block(
+    plan: CompiledPlan, images: Optional[np.ndarray]
+) -> Optional[np.ndarray]:
+    """The ``(B, n)`` input batch, or ``None`` for an input-free plan.
+
+    A plan without LOAD_V (a pure generator program, e.g. LFSR_FILL)
+    has no batch axis and runs once; any other plan raises
+    :class:`CompileError` when the batch is missing.
+    """
+    if not any(inst.op == ops.LOAD_V for inst in plan.instructions):
+        return None
+    if images is None:
+        raise CompileError(f"plan {plan.kind!r} expects an input batch")
+    return np.atleast_2d(np.asarray(images))
+
+
 def resolve_indices(
     plan: CompiledPlan,
-    images: Optional[np.ndarray],
+    block: np.ndarray,
     indices: Optional[Sequence[int]],
 ) -> List[int]:
-    """Default per-row dataset indices (``range(B)``, like predict_batch)."""
-    if indices is not None:
-        return [int(i) for i in indices]
-    if images is None:
-        return []
-    return list(range(len(np.atleast_2d(np.asarray(images)))))
+    """Per-row dataset indices for one input block.
+
+    Defaults to ``range(B)``, like ``predict_batch``.  Raises
+    :class:`CompileError` when ``indices`` and the rows differ in
+    number (the walk would silently return one label per index, not
+    per row), and when a plan keyed by dataset index (LIF_STEP's
+    per-image RNG stream) gets a negative one.
+    """
+    if indices is None:
+        return list(range(len(block)))
+    row_indices = [int(i) for i in indices]
+    if len(row_indices) != len(block):
+        raise CompileError(
+            f"plan {plan.kind!r} got {len(block)} input row(s) but "
+            f"{len(row_indices)} dataset index(es); pass one per row"
+        )
+    if plan.requires_indices and any(i < 0 for i in row_indices):
+        raise CompileError(
+            "LIF_STEP needs a dataset index per row; the per-image "
+            "RNG stream is keyed by index"
+        )
+    return row_indices
 
 
 def gather_outputs(

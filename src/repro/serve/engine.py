@@ -166,19 +166,11 @@ class PlanRunner(ModelRunner):
     behaviour — and deterministic plans simply ignore the context.
     Bit-identity to the legacy runners is the IR's per-kind golden
     contract (``tests/ir/test_golden.py``).
-
-    ``backend`` pins the plan-execution backend for every request this
-    runner serves (resolved at construction so an unknown name fails
-    fast, not mid-traffic; ``None`` follows the registry precedence).
-    The context is backend-agnostic, so a runner's warm caches survive
-    a backend change across hot-swaps.
     """
 
-    def __init__(self, plan, seed: SeedLike = None, backend: Optional[str] = None):
-        from ..ir.backends import resolve_backend_name
+    def __init__(self, plan, seed: SeedLike = None):
         from ..ir.runtime import ExecutionContext
 
-        self.backend = resolve_backend_name(backend)
         if seed is not None and plan.requires_indices:
             # The legacy SNNwtRunner lets callers re-root the RNG; the
             # plan carries its seed in metadata, so rebind a copy (the
@@ -206,8 +198,6 @@ class PlanRunner(ModelRunner):
         return self._ctx.preload_trains(trains)
 
     def run(self, indices: Sequence[int], images: np.ndarray) -> np.ndarray:
-        from ..ir.execute import run_plan
-
         if self.plan.requires_indices:
             for index in indices:
                 if int(index) < 0:
@@ -215,14 +205,34 @@ class PlanRunner(ModelRunner):
                         "snnwt serving needs a dataset index per request; "
                         "the per-request RNG stream is keyed by index"
                     )
-        return np.asarray(
-            run_plan(
-                self.plan,
-                np.atleast_2d(images),
-                indices=indices,
-                ctx=self._ctx,
-                backend=self.backend,
-            )
+        return np.asarray(self._execute(np.atleast_2d(images), indices))
+
+    def _execute(self, images: np.ndarray, indices: Sequence[int]):
+        from ..ir.execute import run_plan
+
+        return run_plan(self.plan, images, indices=indices, ctx=self._ctx)
+
+
+class SerialPlanRunner(PlanRunner):
+    """A plan runner on the serial interpreter: the audit lane's oracle.
+
+    Same plan and the same numeric sentinels as :class:`PlanRunner`,
+    with no fast kernel in the path, so a fast-kernel bug or a corrupt
+    shard cannot agree with it by construction.
+    """
+
+    @classmethod
+    def twin(cls, runner: PlanRunner) -> "SerialPlanRunner":
+        """The serial twin of ``runner``: its plan and its context."""
+        twin = cls(runner.plan)
+        twin._ctx = runner._ctx
+        return twin
+
+    def _execute(self, images: np.ndarray, indices: Sequence[int]):
+        from ..ir.interpret import run_plan_serial
+
+        return run_plan_serial(
+            self.plan, images, indices=indices, ctx=self._ctx
         )
 
 
@@ -248,7 +258,6 @@ def build_runners(
     models: Dict[str, Any],
     seed: SeedLike = None,
     engine: str = "plan",
-    backend: Optional[str] = None,
 ) -> Dict[str, ModelRunner]:
     """Wrap a ``name -> trained model`` mapping into runners.
 
@@ -259,21 +268,11 @@ def build_runners(
     ``engine="legacy"`` is the escape hatch: the pre-IR dispatch —
     :class:`SNNwtRunner` for :class:`~repro.snn.network.SpikingNetwork`,
     :class:`ArrayRunner` over ``predict_images``/``predict`` otherwise.
-
-    ``backend`` pins the plan-execution backend for every plan runner
-    (``None`` follows the registry precedence: ``REPRO_IR_BACKEND``,
-    then the default).  Validated up front so an unknown name fails the
-    whole build instead of the first request.  Ignored by legacy
-    runners.
     """
     if engine not in ENGINES:
         raise ServingError(
             f"unknown serving engine {engine!r}; use one of {ENGINES}"
         )
-    if engine == "plan":
-        from ..ir.backends import resolve_backend_name
-
-        backend = resolve_backend_name(backend)
     runners: Dict[str, ModelRunner] = {}
     for name, model in models.items():
         if engine == "plan":
@@ -281,9 +280,7 @@ def build_runners(
             from ..ir.plan_cache import get_plan
 
             try:
-                runners[name] = PlanRunner(
-                    get_plan(model), seed=seed, backend=backend
-                )
+                runners[name] = PlanRunner(get_plan(model), seed=seed)
                 continue
             except CompileError:
                 pass  # fall back to the legacy runner for this model
@@ -398,15 +395,12 @@ class InferenceServer:
         images: Optional[np.ndarray] = None,
         seed: SeedLike = None,
         engine: str = "plan",
-        backend: Optional[str] = None,
         audit_rate: float = 0.0,
         audit_seed: int = 0,
     ) -> "InferenceServer":
         """In-process server over trained models (see :func:`build_runners`)."""
         return cls(
-            runners=build_runners(
-                models, seed=seed, engine=engine, backend=backend
-            ),
+            runners=build_runners(models, seed=seed, engine=engine),
             policy=policy,
             images=images,
             audit_rate=audit_rate,
@@ -536,7 +530,6 @@ class InferenceServer:
         model,
         seed: SeedLike = None,
         engine: str = "plan",
-        backend: Optional[str] = None,
     ) -> Dict[str, Any]:
         """Replace one served model's weights without dropping requests.
 
@@ -558,9 +551,7 @@ class InferenceServer:
         if self.pool is not None:
             result = self.pool.hot_swap({name: model})
             return {"model": name, "backend": "pool", **result}
-        runner = build_runners(
-            {name: model}, seed=seed, engine=engine, backend=backend
-        )[name]
+        runner = build_runners({name: model}, seed=seed, engine=engine)[name]
         self.runners[name] = runner
         return {"model": name, "backend": "runners"}
 
@@ -612,14 +603,6 @@ class InferenceServer:
             payload["engines"] = {
                 name: (
                     "plan" if isinstance(runner, PlanRunner) else "legacy"
-                )
-                for name, runner in sorted(self.runners.items())
-            }
-            payload["backends"] = {
-                name: (
-                    runner.backend
-                    if isinstance(runner, PlanRunner)
-                    else None
                 )
                 for name, runner in sorted(self.runners.items())
             }
@@ -748,7 +731,7 @@ class InferenceServer:
             return float(self._audit_rng.random()) < self.audit_rate
 
     def _oracle_for(self, name: str) -> Optional[ModelRunner]:
-        """Serial-backend twin of an in-process plan runner (cached).
+        """Serial-interpreter twin of an in-process plan runner (cached).
 
         Legacy runners have no independent execution path to compare
         against, so they return None (counted as ``audit_skipped``).
@@ -761,7 +744,7 @@ class InferenceServer:
             return cached[1]
         if not isinstance(runner, PlanRunner):
             return None
-        oracle = PlanRunner(runner.plan, backend="serial")
+        oracle = SerialPlanRunner(runner.plan)
         self._oracle_runners[name] = (runner, oracle)
         return oracle
 

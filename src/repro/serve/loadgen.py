@@ -391,7 +391,6 @@ def run_loadtest(
     max_retries: int = 2,
     supervise: bool = True,
     engine: str = "plan",
-    backend: Optional[str] = None,
     audit_rate: float = 0.0,
     scrub_period: Optional[float] = None,
 ) -> Dict[str, Any]:
@@ -403,30 +402,20 @@ def run_loadtest(
     memory — supervised (dead shards respawn) unless ``supervise``
     is off.  ``deadline_ms`` attaches a per-request latency budget;
     ``max_retries`` bounds per-task shard-death requeues before
-    quarantine.  ``engine`` selects the execution backend: ``"plan"``
+    quarantine.  ``engine`` selects the execution engine: ``"plan"``
     (default) serves compiled IR plans, ``"legacy"`` the historical
     per-model runners; both are verified bit-identical against direct
-    predictions when ``verify`` is on.  ``backend`` pins the plan
-    execution backend (flag > ``REPRO_IR_BACKEND`` > default; ignored
-    by the legacy engine).  ``audit_rate`` samples that fraction of
-    served batches onto the serial-oracle audit lane (``0.0`` keeps
-    the request path bit-identical to an audit-free server);
-    ``scrub_period`` enables the pool's background integrity scrubber
-    (pool backends only).  SIGTERM/SIGINT drain
-    gracefully: load stops, queues flush, and the metrics collected so
-    far are still returned (the payload's ``drained`` flag records the
+    predictions when ``verify`` is on.  ``audit_rate`` samples that
+    fraction of served batches onto the serial-oracle audit lane
+    (``0.0`` keeps the request path bit-identical to an audit-free
+    server); ``scrub_period`` enables the pool's background integrity
+    scrubber (pool backends only).  SIGTERM/SIGINT drain gracefully:
+    load stops, queues flush, and the metrics collected so far are
+    still returned (the payload's ``drained`` flag records the
     interruption).
     """
     if mode not in ("closed", "open"):
         raise ServingError(f"mode must be 'closed' or 'open', got {mode!r}")
-    if engine == "plan":
-        # Resolve here (flag > env > default) so the payload records
-        # the backend that actually ran and bad names fail pre-train.
-        from ..ir.backends import resolve_backend_name
-
-        backend = resolve_backend_name(backend)
-    else:
-        backend = None
     names = list(dict.fromkeys(models))  # dedupe, keep order
     built = build_models(names, dataset=dataset)
     test_images = np.asarray(built["test"].images)
@@ -447,7 +436,6 @@ def run_loadtest(
             max_task_retries=max_retries,
             supervisor=SupervisorPolicy(seed=seed) if supervise else None,
             engine=engine,
-            backend=backend,
             scrub_period=scrub_period,
         )
         server = InferenceServer(
@@ -464,7 +452,6 @@ def run_loadtest(
             images=test_images,
             seed=seed,
             engine=engine,
-            backend=backend,
             audit_rate=audit_rate,
             audit_seed=seed,
         )
@@ -483,7 +470,6 @@ def run_loadtest(
             "max_retries": max_retries,
             "seed": seed,
             "engine": engine,
-            "backend": backend,
             "audit_rate": audit_rate,
             "scrub_period": scrub_period,
             "n_test_images": int(len(test_images)),

@@ -372,8 +372,8 @@ def render_stats(payload: Dict[str, Any]) -> str:
         )
         quarantined = integrity.get("audit_quarantined_pairs") or []
         if quarantined:
-            described = "  ".join(f"{sid}:{backend}" for sid, backend in quarantined)
-            lines.append(f"  quarantined (shard:backend):  {described}")
+            described = "  ".join(f"{sid}:{engine}" for sid, engine in quarantined)
+            lines.append(f"  quarantined (shard:engine):  {described}")
         if integrity.get("unrecoverable"):
             lines.append("  UNRECOVERABLE: corruption restore failed")
     chaos = payload.get("chaos")

@@ -80,7 +80,7 @@ scenario):
   serial-oracle runner built from the *pristine* arrays
   (:meth:`ShardedPool.audit_oracle`) and reports mismatches through
   :meth:`ShardedPool.report_audit_mismatch`, which quarantines the
-  (shard, backend) pair, retires the shard, and escalates to a full
+  (shard, engine) pair, retires the shard, and escalates to a full
   scrub.
 
 Rebuild-from-views is exact: every model family's forward pass reads
@@ -151,7 +151,6 @@ def _publish_plan(
     seed: SeedLike,
     images: Optional[np.ndarray],
     warm: bool,
-    backend: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Describe ``model`` as a compiled plan (consts + trains in shm).
 
@@ -188,9 +187,6 @@ def _publish_plan(
         "kind": "plan",
         "skeleton": plan.skeleton(),
         "trains": False,
-        # Resolved in the parent so every shard executes on the same
-        # backend regardless of the worker process's environment.
-        "backend": backend,
     }
     if warm and images is not None and plan.requires_indices:
         for key, value in trains_arrays_for_shipping(plan, images).items():
@@ -211,7 +207,7 @@ def _rebuild_plan_runner(name: str, spec: Dict[str, Any], bundle):
         for cname in skeleton["const_names"]
     }
     plan = CompiledPlan.from_skeleton(skeleton, consts)
-    runner = PlanRunner(plan, backend=spec.get("backend"))
+    runner = PlanRunner(plan)
     if spec.get("trains"):
         keys = (
             "indices",
@@ -555,7 +551,6 @@ class ShardedPool:
         supervisor=None,
         chaos_hooks: bool = False,
         engine: str = "plan",
-        backend: Optional[str] = None,
         scrub_period: Optional[float] = None,
     ):
         from .engine import ENGINES
@@ -564,14 +559,6 @@ class ShardedPool:
             raise ServingError(
                 f"unknown pool engine {engine!r}; use one of {ENGINES}"
             )
-        if engine == "plan":
-            # Resolve once in the parent (flag > env > default) so the
-            # shipped plan specs pin every shard to the same backend —
-            # and an unknown name fails the pool build, not a worker.
-            from ..ir.backends import resolve_backend_name
-
-            backend = resolve_backend_name(backend)
-        self.backend = backend
         if jobs < 1:
             raise ServingError(f"jobs must be >= 1, got {jobs}")
         if not models:
@@ -637,7 +624,7 @@ class ShardedPool:
         self._recovery_done = threading.Event()
         self._recovery_done.set()
         self._last_corruption: Optional[Dict[str, Any]] = None
-        #: (shard_id, backend) pairs quarantined by audit mismatches.
+        #: (shard_id, engine) pairs quarantined by audit mismatches.
         self._audit_quarantined: set = set()
         #: per-model parent-side serial oracle runners, keyed on the
         #: bundle they were built against (invalidated by hot_swap).
@@ -723,7 +710,6 @@ class ShardedPool:
                     self._seed,
                     self._images,
                     self._warm,
-                    backend=self.backend,
                 )
             except CompileError:
                 pass  # e.g. live fault injector: ship the legacy form
@@ -998,7 +984,6 @@ class ShardedPool:
                 list(map(str, sig)) for sig in sorted(self._quarantine)
             ]
             payload["engine"] = self.engine
-            payload["backend"] = self.backend
             payload["peak_in_flight"] = self._peak_in_flight
             spawns = list(self._spawn_seconds)
         payload["spawn_ready_seconds"] = {
@@ -1181,9 +1166,9 @@ class ShardedPool:
         """Parent-side serial-oracle runner for one served model.
 
         Built from the pool's *pristine* snapshot arrays — not the
-        live segment — and pinned to the serial interpreter backend,
-        so its answers are independent of both shared-memory
-        corruption and fast-backend bugs.  Cached per published
+        live segment — and run on the serial interpreter, so its
+        answers are independent of both shared-memory corruption and
+        fast-kernel bugs.  Cached per published
         bundle; a hot swap invalidates the cache.
         """
         with self._lock:
@@ -1198,8 +1183,10 @@ class ShardedPool:
         if cached is not None and cached[0] is bundle:
             return cached[1]
         if spec.get("kind") == "plan":
-            runner = _rebuild_plan_runner(
-                name, {**spec, "backend": "serial"}, pristine
+            from .engine import SerialPlanRunner
+
+            runner = SerialPlanRunner.twin(
+                _rebuild_plan_runner(name, spec, pristine)
             )
         else:
             from .engine import build_runners
@@ -1230,7 +1217,7 @@ class ShardedPool:
     def report_audit_mismatch(self, shard_id: int, model: str) -> None:
         """The audit lane caught a shard answer differing from the oracle.
 
-        Quarantines the (shard, backend) pair, escalates to a full
+        Quarantines the (shard, engine) pair, escalates to a full
         segment scrub (whose recovery rolls every shard when it also
         finds corruption), and otherwise retires just the offending
         shard so a fresh attach-verified worker replaces it.
@@ -1239,8 +1226,7 @@ class ShardedPool:
             if self._closing:
                 return
             self._integrity["audit_mismatch_reports"] += 1
-            backend = self.backend if self.engine == "plan" else self.engine
-            self._audit_quarantined.add((int(shard_id), str(backend)))
+            self._audit_quarantined.add((int(shard_id), self.engine))
             alive = False
             generation = 0
             if 0 <= shard_id < len(self._shards):
@@ -1315,8 +1301,8 @@ class ShardedPool:
             payload: Dict[str, Any] = dict(self._integrity)
             payload["scrub_period"] = self.scrub_period
             payload["audit_quarantined_pairs"] = [
-                [sid, backend]
-                for sid, backend in sorted(self._audit_quarantined)
+                [sid, engine]
+                for sid, engine in sorted(self._audit_quarantined)
             ]
             payload["last_corruption"] = (
                 dict(self._last_corruption) if self._last_corruption else None

@@ -503,7 +503,6 @@ class SNNTrainer:
         dataset: Dataset,
         batch_size: int = DEFAULT_BATCH_SIZE,
         engine: str = "plan",
-        backend: Optional[str] = None,
     ) -> np.ndarray:
         """Predictions for every sample of a dataset (batched engine).
 
@@ -521,14 +520,6 @@ class SNNTrainer:
         are bit-identical to :meth:`predict_serial`.  A network with a
         live fault injector falls back to legacy automatically (plans
         compile only clean models).
-
-        ``backend`` picks the plan-execution backend by registry name
-        (``repro.ir.backends``; ``None`` follows the
-        ``REPRO_IR_BACKEND``-then-default precedence).  Every backend
-        is bit-identical on this plan kind, so the choice only affects
-        speed.  Unknown names raise
-        :class:`~repro.core.errors.BackendError`; ``engine="legacy"``
-        ignores the backend (there is no plan to execute).
 
         .. note:: Before the batched engine, this method consumed one
            shared generator sequentially, which coupled every
@@ -561,7 +552,6 @@ class SNNTrainer:
                     dataset.images,
                     indices=list(range(len(dataset))),
                     ctx=ctx,
-                    backend=backend,
                 )
         return predict_batch(
             self.network, dataset.images, batch_size=batch_size
@@ -589,13 +579,11 @@ class SNNTrainer:
         dataset: Dataset,
         batch_size: int = DEFAULT_BATCH_SIZE,
         engine: str = "plan",
-        backend: Optional[str] = None,
     ) -> EvaluationResult:
         """Accuracy bundle on a test set."""
         with phase("eval"):
             predictions = self.predict(
-                dataset, batch_size=batch_size, engine=engine,
-                backend=backend,
+                dataset, batch_size=batch_size, engine=engine
             )
             return evaluate(predictions, dataset.labels, dataset.n_classes)
 

@@ -3,12 +3,6 @@
 Builds the two derived model kinds (quantized MLP, no-time SNN) from
 the session-scoped trained models, and trains the small SNN+BP model
 once — so the per-kind golden tests share one training cost.
-
-Tests that take a ``backend_name`` argument are parametrized over
-every execution backend *available in this environment* — the
-conformance hook: on a machine with torch or jax installed the
-golden/property suites automatically grow torch/jax rows, with no
-test-code changes.
 """
 
 import pytest
@@ -16,13 +10,6 @@ import pytest
 from repro.mlp.quantized import QuantizedMLP
 from repro.snn.snn_bp import train_snn_bp
 from repro.snn.snn_wot import SNNWithoutTime
-
-
-def pytest_generate_tests(metafunc):
-    if "backend_name" in metafunc.fixturenames:
-        from repro.ir.backends import available_backends
-
-        metafunc.parametrize("backend_name", available_backends())
 
 
 @pytest.fixture(scope="session")

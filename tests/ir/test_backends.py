@@ -1,10 +1,8 @@
-"""Backend registry, selection precedence, and execution-path tests.
+"""The tiled executor's threaded row blocks and the plan cache under threads.
 
-Covers the seams the golden/property conformance suites do not: name
-resolution (flag > ``REPRO_IR_BACKEND`` > default, loud failure on
-typos), the int8-tiled accept/refuse contract, the threaded row-block
-scheduler's determinism, plan-cache single-flight counters under
-concurrency, and the serving wiring (runner / server / worker spec).
+Covers what the golden/property suites do not: the threaded row-block
+scheduler's determinism and admission rule, and the plan-cache
+single-flight counters under concurrent cold starts.
 """
 
 import threading
@@ -12,137 +10,14 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.errors import BackendError, BackendUnsupported
 from repro.ir import compile_model, run_plan, run_plan_serial
-from repro.ir.backends import (
-    DEFAULT_BACKEND,
-    ENV_VAR,
-    available_backends,
-    backend_names,
-    get_backend,
-    list_backends,
-    resolve_backend_name,
-)
+from repro.ir.backends.numpy_tiled import NumpyTiledBackend
 
 
 @pytest.fixture(scope="module")
 def test_images(digits_small):
     _, test_set = digits_small
     return np.asarray(test_set.images)
-
-
-class TestRegistry:
-    def test_registration_order(self):
-        names = backend_names()
-        assert names[:4] == ["serial", "numpy", "numpy-tiled", "int8-tiled"]
-        assert {"torch", "jax"} <= set(names)
-
-    def test_numpy_backends_always_available(self):
-        assert {"serial", "numpy", "numpy-tiled", "int8-tiled"} <= set(
-            available_backends()
-        )
-
-    def test_default_backend_is_registered_and_available(self):
-        assert DEFAULT_BACKEND in available_backends()
-
-    def test_unknown_name_raises_typed(self):
-        with pytest.raises(BackendError, match="unknown execution backend"):
-            get_backend("no-such-backend")
-
-    def test_listing_has_stable_keys(self):
-        entries = list_backends()
-        assert [e["name"] for e in entries] == backend_names()
-        for entry in entries:
-            assert set(entry) == {
-                "name",
-                "description",
-                "available",
-                "unavailable_reason",
-                "default",
-            }
-        defaults = [e["name"] for e in entries if e["default"]]
-        assert defaults == [DEFAULT_BACKEND]
-
-    def test_unavailable_plugin_reports_reason(self):
-        # torch/jax may or may not be installed; whichever state, the
-        # availability report and require_available must agree.
-        for name in ("torch", "jax"):
-            engine = get_backend(name, require_available=False)
-            if engine.available():
-                engine.require_available()
-            else:
-                assert engine.unavailable_reason()
-                with pytest.raises(BackendError, match="unavailable"):
-                    get_backend(name)
-
-
-class TestPrecedence:
-    def test_default_when_nothing_set(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert resolve_backend_name() == DEFAULT_BACKEND
-
-    def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "serial")
-        assert resolve_backend_name() == "serial"
-
-    def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "serial")
-        assert resolve_backend_name("numpy") == "numpy"
-
-    def test_unknown_explicit_name_raises(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        with pytest.raises(BackendError):
-            resolve_backend_name("fast-but-wrong")
-
-    def test_unknown_env_value_raises_not_falls_back(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "fast-but-wrong")
-        with pytest.raises(BackendError):
-            resolve_backend_name()
-
-
-class TestRunPlanDispatch:
-    def test_backend_kwarg_routes(self, quantized_mlp, test_images):
-        plan = compile_model(quantized_mlp)
-        serial = run_plan(plan, test_images[:16], backend="serial")
-        default = run_plan(plan, test_images[:16])
-        np.testing.assert_array_equal(serial, default)
-
-    def test_env_var_reaches_dispatch(
-        self, monkeypatch, trained_mlp, test_images
-    ):
-        # int8-tiled refuses the float MLP plan, so seeing its typed
-        # refusal out of run_plan proves the env override was honoured.
-        plan = compile_model(trained_mlp)
-        monkeypatch.setenv(ENV_VAR, "int8-tiled")
-        with pytest.raises(BackendUnsupported):
-            run_plan(plan, test_images[:4])
-
-    def test_unknown_backend_kwarg_raises(self, quantized_mlp, test_images):
-        plan = compile_model(quantized_mlp)
-        with pytest.raises(BackendError):
-            run_plan(plan, test_images[:4], backend="no-such-backend")
-
-
-class TestInt8Tiled:
-    def test_bitwise_on_quantized_plan(self, quantized_mlp, test_images):
-        plan = compile_model(quantized_mlp)
-        serial = run_plan_serial(plan, test_images)
-        got = run_plan(plan, test_images, backend="int8-tiled")
-        assert got.dtype == serial.dtype
-        np.testing.assert_array_equal(got, serial)
-
-    def test_refusal_is_typed_and_names_instruction(
-        self, trained_snn, digits_small
-    ):
-        plan = compile_model(trained_snn)
-        engine = get_backend("int8-tiled")
-        reason = engine.supports(plan)
-        assert reason is not None and "instruction" in reason
-        _, test_set = digits_small
-        with pytest.raises(BackendUnsupported, match="int8-tiled"):
-            engine.run(
-                plan, np.asarray(test_set.images[:4]), indices=[0, 1, 2, 3]
-            )
 
 
 class TestThreadedScheduler:
@@ -153,9 +28,9 @@ class TestThreadedScheduler:
         plan = compile_model(quantized_mlp)
         serial = run_plan_serial(plan, test_images)
         monkeypatch.setenv("REPRO_IR_THREADS", "1")
-        single = run_plan(plan, test_images, backend="numpy-tiled")
+        single = run_plan(plan, test_images)
         monkeypatch.setenv("REPRO_IR_THREADS", "4")
-        threaded = run_plan(plan, test_images, backend="numpy-tiled")
+        threaded = run_plan(plan, test_images)
         np.testing.assert_array_equal(single, serial)
         np.testing.assert_array_equal(threaded, serial)
 
@@ -165,7 +40,7 @@ class TestThreadedScheduler:
         from repro.ir.runtime import ExecutionContext
 
         monkeypatch.setenv("REPRO_IR_THREADS", "4")
-        engine = get_backend("numpy-tiled")
+        engine = NumpyTiledBackend()
         q_plan = compile_model(quantized_mlp)
         blocks = engine._schedule(
             q_plan, test_images, list(range(len(test_images))),
@@ -185,7 +60,7 @@ class TestThreadedScheduler:
         from repro.ir.runtime import ExecutionContext
 
         monkeypatch.setenv("REPRO_IR_THREADS", "8")
-        engine = get_backend("numpy-tiled")
+        engine = NumpyTiledBackend()
         plan = compile_model(quantized_mlp)
         tiny = np.zeros((8, 784))
         assert engine._schedule(
@@ -267,59 +142,3 @@ class TestPlanCacheSingleFlight:
         assert stats["trains_misses"] == 1
         assert stats["trains_hits"] == n_threads - 1
         reset_plan_cache()
-
-
-class TestServingWiring:
-    def test_plan_runner_pins_resolved_backend(self, quantized_mlp):
-        from repro.ir.plan_cache import get_plan
-        from repro.serve.engine import PlanRunner
-
-        runner = PlanRunner(get_plan(quantized_mlp), backend="serial")
-        assert runner.backend == "serial"
-        assert PlanRunner(get_plan(quantized_mlp)).backend == DEFAULT_BACKEND
-
-    def test_plan_runner_rejects_unknown_backend_at_construction(
-        self, quantized_mlp
-    ):
-        from repro.ir.plan_cache import get_plan
-        from repro.serve.engine import PlanRunner
-
-        with pytest.raises(BackendError):
-            PlanRunner(get_plan(quantized_mlp), backend="no-such-backend")
-
-    def test_server_stats_report_backends(self, quantized_mlp, test_images):
-        from repro.serve.engine import InferenceServer
-
-        with InferenceServer.from_models(
-            {"mlp-q": quantized_mlp}, images=test_images, backend="serial"
-        ) as server:
-            served = server.predict_many("mlp-q", indices=list(range(8)))
-            stats = server.stats()
-        assert stats["engines"] == {"mlp-q": "plan"}
-        assert stats["backends"] == {"mlp-q": "serial"}
-        expected = quantized_mlp.predict_images(test_images[:8])
-        np.testing.assert_array_equal(served, expected)
-
-    def test_build_runners_rejects_unknown_backend(self, quantized_mlp):
-        from repro.serve.engine import build_runners
-
-        with pytest.raises(BackendError):
-            build_runners({"mlp-q": quantized_mlp}, backend="turbo")
-
-    def test_swap_model_can_change_backend(self, quantized_mlp, test_images):
-        from repro.serve.engine import InferenceServer
-
-        with InferenceServer.from_models(
-            {"mlp-q": quantized_mlp}, images=test_images, backend="serial"
-        ) as server:
-            server.swap_model("mlp-q", quantized_mlp, backend="numpy-tiled")
-            assert server.stats()["backends"] == {"mlp-q": "numpy-tiled"}
-
-    def test_worker_spec_ships_resolved_backend(self, quantized_mlp):
-        from repro.serve.workers import _publish_plan
-
-        spec = _publish_plan(
-            "mlp-q", quantized_mlp, {}, None, None, False, backend="serial"
-        )
-        assert spec["kind"] == "plan"
-        assert spec["backend"] == "serial"

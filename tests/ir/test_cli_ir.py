@@ -34,3 +34,17 @@ class TestIrDump:
         assert "unknown" in err
         for kind in PLAN_KINDS:
             assert kind in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ir-dump", "mlp-q", "--backend", "x"],
+            ["loadtest", "--backend", "x"],
+            ["backends"],
+        ],
+    )
+    def test_no_engine_selection_surface(self, argv, capsys):
+        # One executor: argparse itself rejects every selection knob.
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == EXIT_USAGE

@@ -2,20 +2,22 @@
 
 These replace the retired pairwise engine-vs-oracle suites: the serial
 interpreter is asserted against each kind's retained legacy oracle
-once, and the vectorized executor against the interpreter once.  Any
-new backend only needs to match the interpreter — enforced here for
-every backend available in the environment (``backend_name`` rows):
-each either reproduces the serial result bitwise or refuses the plan
-with a typed ``BackendUnsupported``.
+once, and the plan executor against the interpreter once, dtypes
+included.  The legacy oracles are the one check here that does not
+run through the IR's shared instruction walk.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.errors import BackendUnsupported
+from repro.core.errors import CompileError
 from repro.ir import compile_model, run_plan, run_plan_serial
-from repro.ir.backends import get_backend
 from repro.snn.network import SNNTrainer
+
+#: Both executors, for checks that must hold on each of them.
+EXECUTORS = pytest.mark.parametrize(
+    "execute", [run_plan, run_plan_serial], ids=["run_plan", "serial"]
+)
 
 
 @pytest.fixture(scope="module")
@@ -29,22 +31,8 @@ def _assert_serial_and_vectorized(model, images, oracle, indices=None):
     serial = run_plan_serial(plan, images, indices=indices)
     np.testing.assert_array_equal(serial, oracle)
     vectorized = run_plan(plan, images, indices=indices)
+    assert vectorized.dtype == serial.dtype
     np.testing.assert_array_equal(vectorized, serial)
-
-
-def _assert_backend_conforms(backend_name, model, images, indices=None):
-    """Bitwise-identical to the serial oracle, or a typed refusal."""
-    plan = compile_model(model)
-    engine = get_backend(backend_name)
-    refusal = engine.supports(plan)
-    if refusal is not None:
-        with pytest.raises(BackendUnsupported):
-            engine.run(plan, images, indices=indices)
-        return
-    serial = run_plan_serial(plan, images, indices=indices)
-    got = np.asarray(run_plan(plan, images, indices=indices, backend=backend_name))
-    assert got.dtype == np.asarray(serial).dtype
-    np.testing.assert_array_equal(got, serial)
 
 
 class TestGoldenPerKind:
@@ -82,39 +70,6 @@ class TestGoldenPerKind:
         )
 
 
-class TestBackendConformance:
-    """Every available backend: bitwise-equal to serial, or typed refusal."""
-
-    @pytest.mark.parametrize(
-        "fixture",
-        ["trained_mlp", "quantized_mlp", "snnwot_model", "snnbp_model"],
-    )
-    def test_deterministic_kinds(
-        self, backend_name, fixture, request, test_images
-    ):
-        model = request.getfixturevalue(fixture)
-        _assert_backend_conforms(backend_name, model, test_images)
-
-    def test_snnwt(self, backend_name, trained_snn, digits_small):
-        _, test_set = digits_small
-        subset = test_set.take(24)
-        _assert_backend_conforms(
-            backend_name,
-            trained_snn,
-            np.asarray(subset.images),
-            indices=list(range(len(subset))),
-        )
-
-    def test_int8_accepts_quantized_kind(self, quantized_mlp):
-        plan = compile_model(quantized_mlp)
-        assert get_backend("int8-tiled").supports(plan) is None
-
-    def test_int8_refuses_float_kinds(self, trained_mlp, snnwot_model):
-        engine = get_backend("int8-tiled")
-        for model in (trained_mlp, snnwot_model):
-            assert engine.supports(compile_model(model)) is not None
-
-
 class TestTrainerPlanEngine:
     def test_predict_engines_agree(self, trained_snn, digits_small):
         _, test_set = digits_small
@@ -138,3 +93,35 @@ class TestTrainerPlanEngine:
         plan_eval = trainer.evaluate(subset)
         legacy_eval = trainer.evaluate(subset, engine="legacy")
         assert plan_eval.accuracy == legacy_eval.accuracy
+
+
+class TestInputChecks:
+    """Batch/index problems raise typed errors on both executors."""
+
+    @EXECUTORS
+    @pytest.mark.parametrize("n_images,n_indices", [(4, 2), (2, 4)])
+    def test_rows_and_indices_must_agree(
+        self, execute, n_images, n_indices, trained_snn, digits_small
+    ):
+        _, test_set = digits_small
+        plan = compile_model(trained_snn)
+        images = np.asarray(test_set.images[:n_images])
+        with pytest.raises(CompileError, match="one per row"):
+            execute(plan, images, indices=list(range(n_indices)))
+
+    @EXECUTORS
+    @pytest.mark.parametrize("fixture", ["trained_mlp", "quantized_mlp"])
+    def test_missing_batch_is_a_typed_error(self, execute, fixture, request):
+        plan = compile_model(request.getfixturevalue(fixture))
+        with pytest.raises(CompileError, match="expects an input batch"):
+            execute(plan, None)
+
+    @EXECUTORS
+    def test_negative_index_refused_on_timed_plan(
+        self, execute, trained_snn, digits_small
+    ):
+        _, test_set = digits_small
+        plan = compile_model(trained_snn)
+        images = np.asarray(test_set.images[:2])
+        with pytest.raises(CompileError, match="dataset index per row"):
+            execute(plan, images, indices=[0, -1])

@@ -110,7 +110,7 @@ class TestTiledGemv:
         x, w = int_matrices
         ref = kernels.gemv(x, w, cast="int64")
         # Shrink the tile budget so the 13 rows split into many blocks.
-        monkeypatch.setenv("REPRO_IR_TILE_BYTES", "512")
+        monkeypatch.setattr(tiles, "DEFAULT_TILE_BYTES", 512)
         got = tiles.tiled_gemv(x, w, cast="int64")
         assert got.dtype == ref.dtype
         np.testing.assert_array_equal(got, ref)

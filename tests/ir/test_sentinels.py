@@ -1,23 +1,35 @@
-"""Numeric sentinels: corrupted plans are refused by every backend.
+"""Numeric sentinels: corrupted plans are refused on both execution paths.
 
 Fuzzes random mini-programs, poisons a float constant (or the input
-batch) with NaN/Inf, and asserts that ``run_plan`` raises the typed
-:class:`NumericSentinelError` instead of returning a prediction — for
-**every** backend available in this environment (the ``backend_name``
-parametrization from the IR conftest).  The sentinel lives around the
-backend dispatch, so no engine can opt out of it.
+batch) with NaN/Inf, and asserts that execution raises the typed
+:class:`NumericSentinelError` instead of returning a prediction — on
+``run_plan`` (the tiled executor, id ``numpy-tiled``) and on the
+serving audit lane's oracle (a serial-interpreter runner, id
+``serial``).  The sentinels live around both walks, so neither path
+can opt out of them.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.errors import BackendUnsupported, NumericSentinelError
+from repro.core.errors import NumericSentinelError
 from repro.ir import ops, run_plan
-from repro.ir.backends import get_backend
 from repro.ir.compile import _Builder
 from repro.ir.execute import check_plan_consts
+from repro.serve.engine import SerialPlanRunner
 
 from .test_property import _random_program
+
+
+def _audit_oracle(plan, batch):
+    """What the audit lane re-executes a served batch on."""
+    return SerialPlanRunner(plan).run(list(range(len(batch))), batch)
+
+
+#: Both execution paths; applied innermost so ids read ``[path-...]``.
+PATHS = pytest.mark.parametrize(
+    "execute", [run_plan, _audit_oracle], ids=["numpy-tiled", "serial"]
+)
 
 N_FUZZ_SEEDS = 12
 
@@ -57,67 +69,48 @@ def _gemv_plan(weights):
 class TestPoisonedConsts:
     @pytest.mark.parametrize("seed", range(N_FUZZ_SEEDS))
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_every_backend_refuses_poisoned_plan(self, backend_name, seed, value):
+    @PATHS
+    def test_every_backend_refuses_poisoned_plan(self, execute, seed, value):
         plan, batch = _random_program(seed)
         rng = np.random.default_rng(seed + 1000)
         if _poison(plan, rng, value) is None:
             pytest.skip("random program drew no float consts")
         with pytest.raises(NumericSentinelError):
-            run_plan(plan, batch, backend=backend_name)
+            execute(plan, batch)
 
     def test_clean_plan_passes_the_const_check(self):
         plan, _batch = _random_program(0)
         check_plan_consts(plan)  # must not raise
 
-    def test_sentinel_fires_before_backend_refusal(self):
-        """int8-tiled refuses float plans — but corruption wins.
-
-        The const check runs before dispatch, so even a backend that
-        would refuse the plan reports the *corruption*, not its own
-        unsupported-plan error: the operator sees the real problem.
-        """
-        plan = _gemv_plan(np.ones((3, 4)))
-        plan.consts["w"] = np.full((3, 4), np.nan)
-        with pytest.raises(NumericSentinelError):
-            run_plan(plan, np.ones((2, 4)), backend="int8-tiled")
-
 
 class TestPoisonedInputs:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_input_batch_refused(self, backend_name, value):
+    @PATHS
+    def test_non_finite_input_batch_refused(self, execute, value):
         plan = _gemv_plan(np.ones((3, 4)))
         batch = np.ones((2, 4))
         batch[1, 2] = value
-        with pytest.raises((NumericSentinelError, BackendUnsupported)) as info:
-            run_plan(plan, batch, backend=backend_name)
-        if get_backend(backend_name).supports(plan) is None:
-            # Backends that accept the plan must report the sentinel.
-            assert info.type is NumericSentinelError
+        with pytest.raises(NumericSentinelError):
+            execute(plan, batch)
 
 
 class TestPoisonedOutputs:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_overflow_to_inf_is_caught_at_the_output(self, backend_name):
+    @PATHS
+    def test_overflow_to_inf_is_caught_at_the_output(self, execute):
         """Finite consts, finite inputs — but the GEMV overflows.
 
-        1e200 * 1e200 exceeds float64 range, so the backend computes
-        Inf scores; the output sentinel must refuse them even though
-        both pre-dispatch checks passed.
+        1e200 * 1e200 exceeds float64 range, so the walk computes Inf
+        scores; the output sentinel must refuse them even though both
+        pre-walk checks passed.
         """
         plan = _gemv_plan(np.full((3, 4), 1e200))
-        engine = get_backend(backend_name)
-        if engine.supports(plan) is not None:
-            with pytest.raises(BackendUnsupported):
-                engine.run(plan, np.full((2, 4), 1e200))
-            return
         with pytest.raises(NumericSentinelError, match="output"):
-            run_plan(plan, np.full((2, 4), 1e200), backend=backend_name)
+            execute(plan, np.full((2, 4), 1e200))
 
-    def test_integer_label_outputs_are_exempt(self, backend_name):
+    @PATHS
+    def test_integer_label_outputs_are_exempt(self, execute):
         """The sentinel only inspects float arrays; labels pass."""
         plan, batch = _random_program(3)
-        engine = get_backend(backend_name)
-        if engine.supports(plan) is not None:
-            pytest.skip("backend refuses this plan shape")
-        labels = run_plan(plan, batch, backend=backend_name)
+        labels = execute(plan, batch)
         assert labels.dtype.kind in "iu"

@@ -201,7 +201,7 @@ class TestPoolAuditOracle:
             pool.report_audit_mismatch(0, "mlp")
             stats = pool.integrity_stats()
             assert stats["audit_mismatch_reports"] == 1
-            assert [0, pool.backend] in stats["audit_quarantined_pairs"]
+            assert [0, pool.engine] in stats["audit_quarantined_pairs"]
             # Escalation scrubbed the (clean) segment and retired the
             # offending shard onto a fresh worker.
             assert stats["scrub_passes"] >= 1
@@ -209,6 +209,42 @@ class TestPoolAuditOracle:
                 lambda: pool.integrity_stats()["corrupt_shard_respawns"] >= 1
             )
             assert wait_until(lambda: pool.alive_shards() == [0])
+
+
+class TestOracleRunsSerial:
+    """Both audit oracles re-execute on the serial interpreter only."""
+
+    @staticmethod
+    def _forbid_tiled_executor(monkeypatch):
+        from repro.ir.backends.numpy_tiled import NumpyTiledBackend
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the audit oracle entered the tiled executor")
+
+        monkeypatch.setattr(NumpyTiledBackend, "run", refuse)
+
+    def test_pool_oracle(self, monkeypatch, trained_mlp, digits_small):
+        _, test_set = digits_small
+        with _pool(trained_mlp, test_set, supervisor=None) as pool:
+            indices = [0, 1, 2]
+            served = pool.run_batch("mlp", indices, None)
+            oracle = pool.audit_oracle("mlp")
+            self._forbid_tiled_executor(monkeypatch)
+            rows = pool.audit_rows(indices)
+            np.testing.assert_array_equal(oracle.run(indices, rows), served)
+
+    def test_in_process_oracle(self, monkeypatch, trained_mlp, digits_small):
+        _, test_set = digits_small
+        images = np.asarray(test_set.images)
+        with InferenceServer.from_models(
+            {"mlp": trained_mlp}, images=images
+        ) as server:
+            oracle = server._oracle_for("mlp")
+            self._forbid_tiled_executor(monkeypatch)
+            np.testing.assert_array_equal(
+                oracle.run([0, 1, 2], images[:3]),
+                trained_mlp.predict_images(images[:3]),
+            )
 
 
 class TestEngineAuditLane:
