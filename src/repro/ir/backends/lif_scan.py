@@ -34,8 +34,8 @@ bitwise the grid's contribution row.
 
 When any precondition fails (scipy missing, negative weights or
 modulation, decay outside ``[0, 1)``, non-positive thresholds, mixed
-durations) the caller falls back to :func:`batch_winners` wholesale;
-the scan never runs "approximately".
+durations) :func:`readout_winners` falls back to :func:`batch_winners`
+wholesale; the scan never runs "approximately".
 """
 
 from __future__ import annotations
@@ -50,16 +50,6 @@ import numpy as np
 DEFAULT_CHUNK_STEPS = 32
 
 
-def _csr_matvecs():
-    """The raw sparsetools CSR multi-vector kernel, or ``None``."""
-    try:
-        from scipy.sparse import _sparsetools
-
-        return _sparsetools.csr_matvecs
-    except Exception:  # noqa: BLE001 - optional dependency / private API
-        return None
-
-
 def scan_refusal(network, trains: Sequence[Any]) -> Optional[str]:
     """Why the scan cannot be used for this readout (``None`` = it can).
 
@@ -67,7 +57,9 @@ def scan_refusal(network, trains: Sequence[Any]) -> Optional[str]:
     performance heuristic — see the module docstring for why each one
     is load-bearing.
     """
-    if _csr_matvecs() is None:
+    from ...snn.batched import csr_matvecs_kernel
+
+    if csr_matvecs_kernel() is None:
         return "scipy.sparse CSR kernel unavailable"
     if not trains:
         return None  # empty batch: trivially handled
@@ -119,7 +111,9 @@ def scan_winners(
     Callers must have cleared :func:`scan_refusal` first; the scan
     assumes its preconditions and does not re-check them.
     """
-    csr_matvecs = _csr_matvecs()
+    from ...snn.batched import csr_matvecs_kernel
+
+    csr_matvecs = csr_matvecs_kernel()
     B = len(trains)
     winners = np.full(B, -1, dtype=np.int64)
     if not B:
@@ -223,3 +217,18 @@ def scan_winners(
             np.multiply(potentials, decay, out=potentials)
         winners[live] = np.argmax(potentials, axis=1)
     return winners
+
+
+def readout_winners(network, trains: Sequence[Any]) -> np.ndarray:
+    """First-spike/max-potential winners: the scan, else the batched grid.
+
+    Runs :func:`scan_winners` when :func:`scan_refusal` clears the
+    trains and :func:`~repro.snn.batched.batch_winners` otherwise;
+    both read out the same bits.  The plan executor's LIF step and
+    :meth:`~repro.snn.network.SNNTrainer.label` read winners here.
+    """
+    from ...snn.batched import DEFAULT_BATCH_SIZE, batch_winners
+
+    if scan_refusal(network, trains) is None:
+        return scan_winners(network, trains)
+    return batch_winners(network, trains, batch_size=DEFAULT_BATCH_SIZE)

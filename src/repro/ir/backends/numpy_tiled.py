@@ -30,8 +30,8 @@ the serial interpreter's (never empirically):
 * **Bulk LFSR.**  LFSR_FILL runs the GF(2)-dilation bulk generator
   instead of the scalar bit-walk.
 
-``REPRO_IR_THREADS`` caps the worker count (default: the machine's
-cores).
+``REPRO_IR_THREADS`` caps the worker count (default: the CPUs the
+process may run on).
 """
 
 from __future__ import annotations
@@ -79,7 +79,11 @@ _MIN_ROWS_PER_WORKER = 32
 
 
 def worker_count() -> int:
-    """Thread budget (``REPRO_IR_THREADS`` overrides; >=1)."""
+    """Thread budget (``REPRO_IR_THREADS`` overrides; >=1).
+
+    Defaults to the CPUs this process may run on (its affinity mask),
+    not the host's: a process pinned to one CPU gets one block.
+    """
     raw = os.environ.get("REPRO_IR_THREADS", "")
     try:
         value = int(raw)
@@ -87,6 +91,8 @@ def worker_count() -> int:
         value = 0
     if value >= 1:
         return value
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 
@@ -144,17 +150,9 @@ def _int_gemv(group, env, indices, ctx) -> None:
 
 def _lif_readout(group, env, indices, ctx) -> None:
     """The first-spike scan when its preconditions hold, else the grid."""
-    from ...snn.batched import DEFAULT_BATCH_SIZE, batch_winners
-
     (inst,) = group
     trains = ctx.trains_for(env[inst.srcs[0]], indices)
-    network = ctx.network
-    if lif_scan.scan_refusal(network, trains) is None:
-        winners = lif_scan.scan_winners(network, trains)
-    else:
-        winners = batch_winners(
-            network, trains, batch_size=DEFAULT_BATCH_SIZE
-        )
+    winners = lif_scan.readout_winners(ctx.network, trains)
     env[inst.dst] = np.asarray(winners, dtype=np.int64)
 
 

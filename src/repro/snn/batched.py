@@ -87,6 +87,28 @@ def gather_contribution(
     return np.add.reduce(block, axis=0)
 
 
+def csr_matvecs_kernel():
+    """SciPy's raw CSR multi-vector kernel, or ``None`` without SciPy.
+
+    ``kernel(n_rows, n_cols, n_vecs, indptr, indices, data, x, y)``
+    adds ``data[j] * x[indices[j]]`` into the zeroed ``y[i]`` for each
+    stored entry ``j`` of row ``i``, in storage order, rounding each
+    product before its add.  With one row per time step and spikes
+    stored in spike order, row ``i`` is the strict left fold
+    :func:`gather_contribution` computes for step ``i`` (its leading
+    ``0.0 +`` can only turn a ``-0.0`` into ``+0.0``, which no
+    threshold comparison sees; the fold is pinned by
+    ``tests/snn/test_training_fused.py``).  The LIF readout scan and
+    the fused STDP engine both build their contributions with it.  It
+    checks no index: callers keep ``indices`` inside ``x``'s rows.
+    """
+    try:
+        from scipy.sparse import _sparsetools
+    except ImportError:
+        return None
+    return getattr(_sparsetools, "csr_matvecs", None)
+
+
 @dataclass
 class SpikeTrainBatch:
     """CSR-by-(step, rank) representation of B images' spike trains.

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..core.config import SNNConfig
-from ..core.errors import TrainingError
+from ..core.errors import SimulationError, TrainingError
 from ..core.metrics import EvaluationResult, evaluate
 from ..core.rng import SeedLike, child_rng, make_rng
 from ..core.timing import phase
@@ -29,7 +29,6 @@ from ..datasets.base import Dataset
 from .batched import (
     DEFAULT_BATCH_SIZE,
     TEST_SPIKE_STREAM,
-    batch_winners,
     encode_shared,
     gather_contribution,
     predict_batch,
@@ -476,14 +475,23 @@ class SNNTrainer:
         ``child_rng(seed, "snn-label-spikes")`` stream, consumed in
         dataset order, as the historical per-image loop — so batching
         the *simulation* leaves the labeling outcome bit-identical.
+        Winners are read ``batch_size`` rows at a time by the LIF
+        readout scan, or by the batched grid where the scan refuses
+        (:func:`repro.ir.backends.lif_scan.readout_winners`).
         """
+        from ..ir.backends.lif_scan import readout_winners  # local: avoids eager import
+
+        if batch_size < 1:
+            raise SimulationError(f"batch_size must be >= 1, got {batch_size}")
         config = self.network.config
         labeler = NeuronLabeler(config.n_neurons, config.n_labels)
         rng = child_rng(config.seed, "snn-label-spikes")
         trains = encode_shared(self.network, dataset.images, rng)
-        winners = batch_winners(self.network, trains, batch_size=batch_size)
-        for winner, label in zip(winners, dataset.labels):
-            labeler.record(int(winner), int(label))
+        for start in range(0, len(trains), batch_size):
+            stop = start + batch_size
+            winners = readout_winners(self.network, trains[start:stop])
+            for winner, label in zip(winners, dataset.labels[start:stop]):
+                labeler.record(int(winner), int(label))
         self.network.neuron_labels = labeler.labels()
         return labeler
 

@@ -23,37 +23,49 @@ sequential.  What *can* be fused:
    NumPy draw fills rows in the same stream order as ``B`` successive
    per-image draws, so the shared ``child_rng(seed,
    "snn-train-spikes")`` stream advances identically.
-2. **Precomputed per-step contributions.**  Each presentation's
-   per-step input drive ``C[t]`` is built once by a rank-layer
-   scatter: spikes are already (step)-sorted, the ``k``-th spike of
-   every step is added in one vectorized fancy-index add, and doing
-   the ranks in order reproduces the strict left-fold of the shared
-   :func:`repro.snn.batched.gather_contribution` primitive bit for
-   bit (``np.add.reduce`` over the outer axis; the scatter's extra
-   leading ``0.0 + x`` is exact for the non-negative weight rows).
-3. **A lean integration scan.**  With ``stop_after_first_spike=True``
-   (the trainer's invariant operating point) every neuron stays
-   active until the presentation's single output spike, so the serial
-   loop's masked operations reduce to whole-array ones
-   (``v[all-true] *= d`` is bitwise ``v *= d``) and the per-step
-   recurrence is exactly ``v[t] = round(v[t-1] * d) + C[t]`` — a
-   first-order IIR filter.  When SciPy is importable the whole
-   trajectory is produced by one ``scipy.signal.lfilter([1], [1, -d])``
-   call: direct-form-II-transposed evaluates ``round(C[t] +
-   round(d * v[t-1]))`` per step, and because IEEE-754 addition and
-   multiplication are commutative bit for bit, every intermediate
-   rounding matches the serial loop (property-tested in
+2. **Stop at the first output spike.**  With
+   ``stop_after_first_spike=True`` (the trainer's invariant operating
+   point; the paper's winner-takes-all presentation ends at its single
+   output spike, where the §4.4 learning circuit updates) nothing after
+   that spike is observable, so the engine walks each presentation in
+   chunks of :data:`STEP_CHUNK` steps and stops at the chunk holding
+   the first threshold crossing.  On the digits models that spike lands
+   near step 220 of 500, so about half the steps are never built.
+3. **Per-chunk contributions from the shared CSR kernel.**  A chunk's
+   per-step input drive ``C[t]`` comes from one call of SciPy's CSR
+   multi-vector kernel (:func:`repro.snn.batched.csr_matvecs_kernel`,
+   the same kernel the LIF readout scan uses), one row per step with
+   the step's spikes stored in spike order.  The kernel folds each
+   step's spikes strictly left to right with every product rounded
+   before its add, which is the fold of
+   :func:`repro.snn.batched.gather_contribution` bit for bit, without
+   the ``(n_spikes, n_neurons)`` weight gather.
+4. **An exact filter scan per chunk.**  Until the first output spike
+   every neuron stays active, so the serial loop's masked operations
+   reduce to whole-array ones (``v[all-true] *= d`` is bitwise
+   ``v *= d``) and the per-step recurrence is exactly
+   ``v[t] = round(v[t-1] * d) + C[t]`` — a first-order IIR filter.
+   ``scipy.signal.lfilter([1], [1, -d])`` runs it over each chunk:
+   direct-form-II-transposed evaluates ``round(C[t] + round(d *
+   v[t-1]))`` per step, which IEEE commutativity makes bitwise the
+   serial loop's arithmetic, and the filter's one-sample state
+   (``zi`` in, ``zf`` out) carries ``d * v`` across chunk boundaries
+   exactly (both property-tested in
    ``tests/snn/test_training_fused.py``).  The first row of the exact
    trajectory that crosses a threshold *is* the serial loop's firing
    step, so firing detection is a vectorized comparison.
-4. **Gated fire checks (SciPy-free fallback).**  Without SciPy the
-   scan stays a Python loop, but contributions and the leak are
-   non-negative with decay ``<= 1``, so the decay-free running sum
-   ``U[t] = sum(C[:t+1])`` bounds every potential from above; steps
-   where no ``U[t]`` reaches its threshold cannot fire and skip the
-   threshold comparison entirely.  (The serial path's comparison is
-   executed verbatim on the steps that remain, so the first firing
-   step, winning neuron and overshoot tie-break are unchanged.)
+5. **Gated fire checks (SciPy-free fallback).**  When either SciPy
+   kernel is missing, each presentation's contributions are built for
+   every step by a count-class scatter (steps with ``c`` spikes form
+   one ``(m, c, n_neurons)`` gather whose axis-1 ``np.add.reduce`` is
+   the same strict fold), and the scan stays a Python loop.
+   Contributions and the leak are non-negative with decay ``<= 1``,
+   so the decay-free running sum ``U[t] = sum(C[:t+1])`` bounds every
+   potential from above; steps where no ``U[t]`` reaches its
+   threshold cannot fire and skip the threshold comparison entirely.
+   (The serial path's comparison is executed verbatim on the steps
+   that remain, so the first firing step, winning neuron and
+   overshoot tie-break are unchanged.)
 
 The filter path computes the *true* potential trajectory, so it needs
 no sign preconditions.  The fallback loop's upper bound does: whenever
@@ -74,6 +86,7 @@ except ImportError:  # pragma: no cover - exercised on SciPy-free installs
     _lfilter = None
 
 from ..core.rng import SeedLike, make_rng
+from . import batched
 from .coding import SpikeTrain, mean_interval
 
 #: Images encoded per fused chunk.  Bounds the batched RNG draw and
@@ -81,6 +94,22 @@ from .coding import SpikeTrain, mean_interval
 #: interleaving other work (e.g. the retention study's probes) can
 #: window their presentations without changing any stream.
 TRAIN_CHUNK = 64
+
+#: Steps per filtered chunk of one learning presentation.  Shorter
+#: chunks build fewer steps past the first output spike, longer ones
+#: pay the per-chunk call overhead less often; 32, 64, 128 and 256
+#: measured alike on the digits workload.
+STEP_CHUNK = 64
+
+
+def _filter_kernels():
+    """``(lfilter, csr_matvecs)`` when SciPy provides both, else ``None``."""
+    if _lfilter is None:
+        return None
+    csr_matvecs = batched.csr_matvecs_kernel()
+    if csr_matvecs is None:
+        return None
+    return _lfilter, csr_matvecs
 
 
 class FusedSTDPEngine:
@@ -118,7 +147,7 @@ class FusedSTDPEngine:
         chunk; a False verdict routes presentations through the serial
         oracle instead.
         """
-        if _lfilter is not None:
+        if _filter_kernels() is not None:
             return True
         network = self.network
         if network.stdp.w_min < 0:
@@ -205,10 +234,9 @@ class FusedSTDPEngine:
         none fired).
         """
         network = self.network
-        config = network.config
         thresholds = network.population.thresholds
-        modulation = train.modulation
-        if _lfilter is None and np.any(modulation < 0):
+        kernels = _filter_kernels()
+        if kernels is None and np.any(train.modulation < 0):
             # Negative decoder attenuation breaks the fallback loop's
             # upper bound; run this presentation through the serial
             # oracle.  (The filter path is exact and keeps going.)
@@ -221,8 +249,7 @@ class FusedSTDPEngine:
         homeostasis = network.homeostasis
         n_steps, step_idx = train.step_indices(1.0)
         inputs = train.inputs
-        n_spikes = inputs.size
-        if n_spikes == 0:
+        if inputs.size == 0:
             if np.any(thresholds <= 0):
                 # A zero potential crosses a non-positive threshold at
                 # step 0; let the serial oracle arbitrate that edge.
@@ -236,9 +263,16 @@ class FusedSTDPEngine:
             # nothing fires; only the homeostasis clock advances.
             homeostasis.advance(train.duration, thresholds)
             return -1
-        if np.any(np.diff(step_idx) < 0):
+        if (
+            np.any(np.diff(step_idx) < 0)
+            or inputs.min() < 0
+            or inputs.max() >= network.weights.shape[1]
+        ):
             # Only reachable if the train was mutated post-init
-            # (step_slices has the same defensive branch).
+            # (step_slices has the same defensive branch) or indexes
+            # past the weights, which the unchecked CSR kernel must
+            # never see; the serial oracle wraps or raises as NumPy
+            # indexing does.
             return network.present(
                 train,
                 learn=True,
@@ -247,6 +281,91 @@ class FusedSTDPEngine:
             ).winner
 
         boundaries = np.searchsorted(step_idx, np.arange(n_steps + 1))
+        if kernels is not None:
+            winner = self._filter_scan(
+                kernels, train, step_idx, boundaries, ltp_probabilities
+            )
+        else:
+            winner = self._gated_scan(
+                train, step_idx, boundaries, ltp_probabilities
+            )
+        homeostasis.advance(train.duration, thresholds)
+        return winner
+
+    def _filter_scan(
+        self,
+        kernels,
+        train: SpikeTrain,
+        step_idx: np.ndarray,
+        boundaries: np.ndarray,
+        ltp_probabilities: Optional[np.ndarray],
+    ) -> int:
+        """Exact chunked trajectory up to the first crossing; the winner.
+
+        Each chunk's contributions come from the CSR kernel and its
+        potentials from ``lfilter``, whose state carries ``d * v``
+        from one chunk into the next (see the module docstring).
+        """
+        lfilter, csr_matvecs = kernels
+        thresholds = self.network.population.thresholds
+        inputs = train.inputs
+        modulation = np.asarray(train.modulation, dtype=np.float64)
+        weights_t = self._transposed_weights()
+        flat_weights = weights_t.reshape(-1)
+        n_inputs, n_neurons = weights_t.shape
+        n_steps = boundaries.size - 1
+        state = np.zeros((1, n_neurons))
+        for t0 in range(0, n_steps, STEP_CHUNK):
+            t1 = min(t0 + STEP_CHUNK, n_steps)
+            s0 = int(boundaries[t0])
+            s1 = int(boundaries[t1])
+            contributions = np.zeros((t1 - t0, n_neurons))
+            if s1 > s0:
+                csr_matvecs(
+                    t1 - t0,
+                    n_inputs,
+                    n_neurons,
+                    boundaries[t0 : t1 + 1] - s0,
+                    inputs[s0:s1],
+                    modulation[s0:s1],
+                    flat_weights,
+                    contributions.reshape(-1),
+                )
+            potentials, state = lfilter(
+                self._filter_b,
+                self._filter_a,
+                contributions,
+                axis=0,
+                zi=state,
+            )
+            crossed = potentials >= thresholds
+            rows = np.flatnonzero(crossed.any(axis=1))
+            if rows.size:
+                t = int(rows[0])
+                return self._fire(
+                    t0 + t,
+                    potentials[t],
+                    thresholds,
+                    np.flatnonzero(crossed[t]),
+                    inputs,
+                    step_idx,
+                    boundaries,
+                    ltp_probabilities,
+                )
+        return -1
+
+    def _gated_scan(
+        self,
+        train: SpikeTrain,
+        step_idx: np.ndarray,
+        boundaries: np.ndarray,
+        ltp_probabilities: Optional[np.ndarray],
+    ) -> int:
+        """SciPy-free presentation: every step's drive, then a gated loop."""
+        thresholds = self.network.population.thresholds
+        inputs = train.inputs
+        modulation = train.modulation
+        n_steps = boundaries.size - 1
         block = self._transposed_weights()[inputs]
         if not np.all(modulation == 1.0):
             block = block * modulation[:, None]
@@ -260,7 +379,7 @@ class FusedSTDPEngine:
         # path's exact rounding.  The k-th spike of a step sits at
         # ``boundaries[step] + k`` (spikes are step-sorted), so the
         # gather is a closed-form index expression — no per-image sort.
-        n_neurons = config.n_neurons
+        n_neurons = self.network.config.n_neurons
         contributions = np.zeros((n_steps, n_neurons))
         counts = boundaries[1:] - boundaries[:-1]
         max_count = int(counts.max())
@@ -286,66 +405,39 @@ class FusedSTDPEngine:
                 steps_k = np.flatnonzero(counts > k)
                 contributions[steps_k] += block[starts[steps_k] + k]
 
-        winner = -1
-        if _lfilter is not None:
-            # Exact trajectory in one C-level filter pass: DF2T applies
-            # round(C[t] + round(d * v[t-1])) per step, bitwise equal to
-            # the serial loop's round(round(v[t-1] * d) + C[t]) because
-            # IEEE multiplication and addition are commutative.
-            potentials = _lfilter(
-                self._filter_b, self._filter_a, contributions, axis=0
-            )
-            crossed = potentials >= thresholds
-            rows = np.flatnonzero(crossed.any(axis=1))
-            if rows.size:
-                t = int(rows[0])
-                winner = self._fire(
-                    t,
-                    potentials[t],
-                    thresholds,
-                    np.flatnonzero(crossed[t]),
-                    inputs,
-                    step_idx,
-                    boundaries,
-                    ltp_probabilities,
-                )
-        else:
-            # Decay-free running sums bound every potential from above
-            # (contributions are non-negative by supported()); steps
-            # where no neuron's bound reaches threshold cannot fire.
-            upper = np.cumsum(contributions, axis=0)
-            possible = np.any(upper >= thresholds[None, :], axis=1).tolist()
-            has_spikes = (boundaries[1:] > boundaries[:-1]).tolist()
-            decay = self._decay
-            v = self._v
-            v.fill(0.0)
-            # Steps before the first spike leave v at exactly +0.0 (the
-            # serial path multiplies zeros by the decay), so the scan
-            # can start at the first spike step.
-            for t in range(int(step_idx[0]), n_steps):
-                v *= decay
-                if has_spikes[t]:
-                    v += contributions[t]
-                if possible[t]:
-                    # Two-stage check: the cheap any() gate decides
-                    # exactly the same predicate as the serial path's
-                    # flatnonzero(...).size (fired-set emptiness); the
-                    # index set itself is only materialized on an
-                    # actual firing.
-                    if (v >= thresholds).any():
-                        winner = self._fire(
-                            t,
-                            v,
-                            thresholds,
-                            np.flatnonzero(v >= thresholds),
-                            inputs,
-                            step_idx,
-                            boundaries,
-                            ltp_probabilities,
-                        )
-                        break
-        homeostasis.advance(train.duration, thresholds)
-        return winner
+        # Decay-free running sums bound every potential from above
+        # (contributions are non-negative by supported()); steps where
+        # no neuron's bound reaches threshold cannot fire.
+        upper = np.cumsum(contributions, axis=0)
+        possible = np.any(upper >= thresholds[None, :], axis=1).tolist()
+        has_spikes = (boundaries[1:] > boundaries[:-1]).tolist()
+        decay = self._decay
+        v = self._v
+        v.fill(0.0)
+        # Steps before the first spike leave v at exactly +0.0 (the
+        # serial path multiplies zeros by the decay), so the scan can
+        # start at the first spike step.
+        for t in range(int(step_idx[0]), n_steps):
+            v *= decay
+            if has_spikes[t]:
+                v += contributions[t]
+            if possible[t]:
+                # Two-stage check: the cheap any() gate decides exactly
+                # the same predicate as the serial path's
+                # flatnonzero(...).size (fired-set emptiness); the index
+                # set itself is only materialized on an actual firing.
+                if (v >= thresholds).any():
+                    return self._fire(
+                        t,
+                        v,
+                        thresholds,
+                        np.flatnonzero(v >= thresholds),
+                        inputs,
+                        step_idx,
+                        boundaries,
+                        ltp_probabilities,
+                    )
+        return -1
 
     def _fire(
         self,

@@ -5,6 +5,7 @@ scheduler's determinism and admission rule, and the plan-cache
 single-flight counters under concurrent cold starts.
 """
 
+import os
 import threading
 
 import numpy as np
@@ -54,6 +55,25 @@ class TestThreadedScheduler:
         assert engine._schedule(
             f_plan, test_images, list(range(len(test_images))),
             ExecutionContext(f_plan),
+        ) == [(0, len(test_images))]
+
+    def test_thread_budget_follows_cpu_affinity(
+        self, monkeypatch, quantized_mlp, test_images
+    ):
+        """A process allowed one CPU gets one row block, whatever the
+        host's CPU count."""
+        from repro.ir.runtime import ExecutionContext
+
+        monkeypatch.delenv("REPRO_IR_THREADS", raising=False)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert len(test_images) >= 64
+        plan = compile_model(quantized_mlp)
+        assert NumpyTiledBackend()._schedule(
+            plan, test_images, list(range(len(test_images))),
+            ExecutionContext(plan),
         ) == [(0, len(test_images))]
 
     def test_small_batches_stay_single_block(self, monkeypatch, quantized_mlp):

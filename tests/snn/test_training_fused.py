@@ -76,7 +76,14 @@ def _assert_identical(fused: dict, serial: dict) -> None:
     np.testing.assert_array_equal(fused["labels"], serial["labels"])
 
 
-def _train_both(config, tiny_digits, coder_name=None, conscience=True, faults=None):
+def _train_both(
+    config,
+    tiny_digits,
+    coder_name=None,
+    conscience=True,
+    faults=None,
+    calibrate=True,
+):
     """Train one network per engine; return (fused, serial) snapshots."""
     train_set, _ = tiny_digits
     snapshots = []
@@ -85,7 +92,7 @@ def _train_both(config, tiny_digits, coder_name=None, conscience=True, faults=No
         if faults is not None:
             network.fault_injector = FaultInjector(faults)
         trainer = SNNTrainer(network, conscience=conscience)
-        trainer.train(train_set, engine=engine)
+        trainer.train(train_set, engine=engine, calibrate=calibrate)
         network.equalize_thresholds()
         trainer.label(train_set)
         snapshots.append(_snapshot(network))
@@ -138,6 +145,54 @@ class TestTrainerEquivalence:
             spike_drop_rate=0.1, spike_spurious_rate=0.05, seed=3
         )
         fused, serial = _train_both(config, tiny_digits, faults=faults)
+        _assert_identical(fused, serial)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 500, 4096])
+    def test_step_chunk_edges(self, tiny_digits, monkeypatch, chunk):
+        """The filter state carries exactly across chunk boundaries: one
+        step per chunk, an odd length, and one chunk holding the whole
+        500-step presentation (exactly, and with room to spare)."""
+        import repro.snn.training as training_mod
+
+        monkeypatch.setattr(training_mod, "STEP_CHUNK", chunk)
+        config = _config(tiny_digits[0])
+        fused, serial = _train_both(config, tiny_digits)
+        _assert_identical(fused, serial)
+
+    def test_presentations_that_never_fire(self, tiny_digits):
+        """Every chunk is scanned and no neuron fires: the winner is -1
+        and the homeostasis clock still advances by the full duration."""
+        train_set, _ = tiny_digits
+        config = _config(train_set, initial_threshold=1e9)
+        fused, serial = _train_both(config, tiny_digits, calibrate=False)
+        _assert_identical(fused, serial)
+
+        network = _build(config)
+        winners = FusedSTDPEngine(network).learn_images(
+            train_set.images[:12], rng=child_rng(config.seed, "stream")
+        )
+        np.testing.assert_array_equal(winners, np.full(12, -1))
+        homeostasis = network.homeostasis
+        advanced = (
+            homeostasis.epochs_completed * homeostasis.epoch_ms
+            + homeostasis.elapsed_ms
+        )
+        assert advanced == 12 * config.t_period
+
+    def test_missing_csr_kernel_takes_gated_loop(self, tiny_digits, monkeypatch):
+        """With lfilter importable but no CSR kernel, presentations run
+        the gated loop (the filter is never called) and labeling runs
+        on the grid; both stay bit-identical."""
+        import repro.snn.batched as batched_mod
+        import repro.snn.training as training_mod
+
+        def filter_must_not_run(*args, **kwargs):
+            raise AssertionError("filter scan ran without the CSR kernel")
+
+        monkeypatch.setattr(batched_mod, "csr_matvecs_kernel", lambda: None)
+        monkeypatch.setattr(training_mod, "_lfilter", filter_must_not_run)
+        config = _config(tiny_digits[0])
+        fused, serial = _train_both(config, tiny_digits)
         _assert_identical(fused, serial)
 
     def test_rejects_unknown_engine(self, tiny_digits):
@@ -214,6 +269,36 @@ class TestEngineStream:
         fused, serial = _train_both(config, tiny_digits)
         _assert_identical(fused, serial)
 
+    def test_out_of_range_inputs_take_the_serial_oracle(self, tiny_digits):
+        """An input index outside the weights never reaches the
+        unchecked CSR kernel: the presentation runs on the serial
+        oracle, which raises (or wraps a negative index) exactly as
+        NumPy indexing does."""
+        from repro.snn.coding import SpikeTrain
+
+        config = _config(tiny_digits[0])
+        duration = float(config.t_period)
+        times = np.linspace(0.0, duration - 1.0, 40)
+        past_end = SpikeTrain(
+            times, np.full(40, config.n_inputs), config.n_inputs, duration
+        )
+        with pytest.raises(IndexError):
+            FusedSTDPEngine(_build(config)).present_learn(past_end)
+
+        negative = SpikeTrain(
+            times, np.full(40, -1), config.n_inputs, duration
+        )
+        fused_net = _build(config)
+        serial_net = _build(config)
+        fused_net.population.thresholds[:] = 100.0
+        serial_net.population.thresholds[:] = 100.0
+        winner = FusedSTDPEngine(fused_net).present_learn(negative)
+        reference = serial_net.present(
+            negative, learn=True, stop_after_first_spike=True
+        )
+        assert winner == reference.winner >= 0
+        np.testing.assert_array_equal(fused_net.weights, serial_net.weights)
+
     def test_minimum_width_network(self, tiny_digits):
         """The smallest config the ranges allow (n_neurons = 2) still
         hits the count-class scatter's general branch."""
@@ -246,6 +331,17 @@ class TestNumericalProperties:
                 expected[t] = v
             got = scipy_signal.lfilter([1.0], [1.0, -d], c, axis=0)
             np.testing.assert_array_equal(got, expected)
+            # Chunked, carrying the filter state (zi in, zf out) from
+            # one chunk into the next, as the engine's scan does.
+            for chunk in (1, 3, 7):
+                state = np.zeros((1, c.shape[1]))
+                parts = []
+                for t0 in range(0, c.shape[0], chunk):
+                    part, state = scipy_signal.lfilter(
+                        [1.0], [1.0, -d], c[t0 : t0 + chunk], axis=0, zi=state
+                    )
+                    parts.append(part)
+                np.testing.assert_array_equal(np.concatenate(parts), expected)
 
     def test_add_reduce_axis1_is_left_fold(self):
         """np.add.reduce(rows, axis=1) on (m, c, N) float blocks must be
@@ -261,6 +357,60 @@ class TestNumericalProperties:
                     expected = expected + rows[:, k, :]
                 got = np.add.reduce(rows, axis=1)
                 np.testing.assert_array_equal(got, expected)
+
+    def test_csr_kernel_is_a_strict_left_fold(self):
+        """Each row of the CSR kernel shared by the readout scan and the
+        engine must be the strict left fold ((0.0 + m0*w0) + m1*w1) + ...
+        in spike order, each product rounded before its add.  A SciPy
+        build that contracted the kernel's ``y += a*x`` into a fused
+        multiply-add would silently change rank-order results in both;
+        the modulated data below is checked to tell the two apart."""
+        from fractions import Fraction
+
+        from repro.snn.batched import csr_matvecs_kernel
+
+        csr_matvecs = csr_matvecs_kernel()
+        if csr_matvecs is None:
+            pytest.skip("SciPy's CSR kernel is unavailable")
+        rng = np.random.default_rng(23)
+        n_inputs, n_neurons = 9, 6
+        weights_t = rng.uniform(0, 255, size=(n_inputs, n_neurons))
+        weights_t *= 10.0 ** rng.integers(-4, 5, size=weights_t.shape)
+        # One row per step: empty cells, and inputs repeated in a step.
+        cells = [[], [3], [2, 5, 2, 2], [], list(range(n_inputs)), [4, 4], []]
+        indptr = np.cumsum([0] + [len(cell) for cell in cells])
+        indices = np.array([i for cell in cells for i in cell], dtype=np.int64)
+        fused_differs = False
+        for modulation in (
+            np.ones(indices.size),
+            rng.uniform(0.05, 1.0, size=indices.size),
+        ):
+            got = np.zeros((len(cells), n_neurons))
+            csr_matvecs(
+                len(cells),
+                n_inputs,
+                n_neurons,
+                indptr,
+                indices,
+                modulation,
+                weights_t.reshape(-1),
+                got.reshape(-1),
+            )
+            for row in range(len(cells)):
+                expected = np.zeros(n_neurons)
+                fused = np.zeros(n_neurons)
+                for j in range(indptr[row], indptr[row + 1]):
+                    product = modulation[j] * weights_t[indices[j]]
+                    expected = expected + product
+                    fused = np.array(
+                        [
+                            float(Fraction(modulation[j]) * Fraction(w) + Fraction(y))
+                            for w, y in zip(weights_t[indices[j]], fused)
+                        ]
+                    )
+                np.testing.assert_array_equal(got[row], expected)
+                fused_differs |= not np.array_equal(fused, expected)
+        assert fused_differs
 
     def test_supported_always_true_with_scipy(self, tiny_digits):
         pytest.importorskip("scipy.signal")
