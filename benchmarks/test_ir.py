@@ -5,7 +5,7 @@ Not part of the tier-1 suite (pytest ``testpaths`` excludes
 
     PYTHONPATH=src python -m pytest benchmarks/test_ir.py -q -s
 
-Four things are measured with a plain ``time.perf_counter`` clock and
+Three things are measured with a plain ``time.perf_counter`` clock and
 appended to ``BENCH_PR8.json`` keyed by scale:
 
 * **Compile cost** — lowering each of the five model kinds onto the
@@ -13,13 +13,9 @@ appended to ``BENCH_PR8.json`` keyed by scale:
   (the serving pattern: every runner asks once, every stats call asks
   again).
 * **Executor throughput** — warm plan evaluation of the timed SNN
-  versus the PR 2 batched engine (bit-identical labels, floor
-  ``min_plan_speedup``), and the quantized MLP plan versus the legacy
-  ``predict_images`` hot path.
-* **Shard cold-start** — ``ShardedPool`` spawn->ready with plan
-  shipping (skeleton + consts + encoded trains through shared memory)
-  versus the legacy publish (each shard re-encodes the dataset); plan
-  spawns must be faster.
+  versus the PR 2 batched engine, :func:`~repro.snn.batched.predict_batch`
+  (bit-identical labels, floor ``min_plan_speedup``), and the quantized
+  MLP plan versus its direct ``predict_images`` hot path.
 * **Cyclesim sweep pricing** — ``sample_with_cyclesim`` (one
   fold-invariant label pass per family + closed-form cycles) versus
   the scalar per-point ``predict_with_cycles`` walk over the same
@@ -58,7 +54,7 @@ from repro.ir.plan_cache import (
 from repro.mlp.network import MLP
 from repro.mlp.quantized import QuantizedMLP
 from repro.mlp.trainer import BackPropTrainer
-from repro.serve.workers import ShardedPool
+from repro.snn.batched import predict_batch
 from repro.snn.network import SNNTrainer, SpikingNetwork
 from repro.snn.snn_bp import train_snn_bp
 from repro.snn.snn_wot import SNNWithoutTime
@@ -82,7 +78,6 @@ PARAMS: Dict[str, dict] = {
         "sweep_weight_bits": (2, 4, 8),
         "cyclesim_images": 6,
         "min_cyclesim_speedup": 10.0,
-        "pool_jobs": 2,
     },
     "ci": {
         "n_train": 120,
@@ -95,7 +90,6 @@ PARAMS: Dict[str, dict] = {
         "sweep_weight_bits": (4, 8),
         "cyclesim_images": 3,
         "min_cyclesim_speedup": 3.0,
-        "pool_jobs": 2,
     },
 }
 
@@ -142,9 +136,11 @@ def _dump_json():
     existing["note"] = (
         "Wall-clock numbers from benchmarks/test_ir.py: IR compile cost "
         "and plan-cache hit rate, warm plan-executor throughput vs the "
-        "legacy engines (bit-identical labels), plan-shipping shard "
-        "spawn->ready vs legacy model rebuild, and IR-driven cyclesim "
-        "sweep pricing vs the scalar per-point walk."
+        "PR 2 batched engine and the direct MLP-q forward pass "
+        "(bit-identical labels), and IR-driven cyclesim sweep pricing "
+        "vs the scalar per-point walk.  Older scales may still carry "
+        "shard_cold_start, the plan-shipping vs legacy-rebuild spawn "
+        "comparison deleted with the legacy publish."
     )
     OUTPUT_PATH.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n")
 
@@ -234,16 +230,17 @@ class TestExecutorThroughput:
     def test_snnwt_plan_vs_pr2_engine(self, trained_snn, digits_pair):
         _, test_set = digits_pair
         trainer = trained_snn
-        n = len(test_set.images)
+        images = test_set.images
+        n = len(images)
 
-        legacy = trainer.predict(test_set, engine="legacy")
+        legacy = predict_batch(trainer.network, images)
         planned = trainer.predict(test_set)  # warms the trains cache
         assert np.array_equal(planned, legacy), (
             "plan engine diverged from the PR 2 batched engine"
         )
 
         legacy_s = min(
-            _timed(lambda: trainer.predict(test_set, engine="legacy"))
+            _timed(lambda: predict_batch(trainer.network, images))
             for _ in range(2)
         )
         plan_s = min(
@@ -295,43 +292,6 @@ class TestExecutorThroughput:
         # The plan walks the same kernels; anything past a 2x ratio
         # means the instruction walk itself regressed.
         assert plan_s <= 2.0 * legacy_s
-
-
-class TestShardColdStart:
-    def test_plan_shipping_spawns_faster(self, trained_snn, digits_pair):
-        _, test_set = digits_pair
-        images = np.asarray(test_set.images)
-        network = trained_snn.network
-        indices = [0, 1, 2]
-        reference = None
-        spawn_means = {}
-        for engine in ("legacy", "plan"):
-            with ShardedPool(
-                {"snnwt": network},
-                jobs=P["pool_jobs"],
-                images=images,
-                engine=engine,
-            ) as pool:
-                got = pool.run_batch("snnwt", indices, None)
-                stats = pool.stats()
-            if reference is None:
-                reference = got
-            else:
-                np.testing.assert_array_equal(got, reference)
-            spawn_means[engine] = stats["spawn_ready_seconds"]["mean"]
-        _record(
-            "shard_cold_start",
-            jobs=P["pool_jobs"],
-            images=len(images),
-            legacy_spawn_ready_s=round(spawn_means["legacy"], 4),
-            plan_spawn_ready_s=round(spawn_means["plan"], 4),
-            speedup=round(spawn_means["legacy"] / spawn_means["plan"], 2),
-        )
-        assert spawn_means["plan"] < spawn_means["legacy"], (
-            "plan-shipping spawn->ready "
-            f"({spawn_means['plan']:.3f}s) is not faster than the legacy "
-            f"model rebuild ({spawn_means['legacy']:.3f}s)"
-        )
 
 
 class TestCyclesimSweep:

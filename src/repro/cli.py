@@ -553,7 +553,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             verify=not args.no_verify,
             deadline_ms=args.deadline_ms,
             max_retries=args.max_retries,
-            engine=args.engine,
             audit_rate=args.audit_rate,
             scrub_period=args.scrub_period,
         )
@@ -1026,13 +1025,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         help="shard deaths one task may survive before it is "
         "quarantined as poisonous",
-    )
-    loadtest.add_argument(
-        "--engine",
-        choices=("plan", "legacy"),
-        default="plan",
-        help="execution engine: compiled IR plans (default) or the "
-        "historical per-model runners",
     )
     loadtest.add_argument(
         "--audit-rate",

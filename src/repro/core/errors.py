@@ -47,11 +47,13 @@ class ExperimentTimeoutError(ExperimentError):
 class CompileError(ReproError):
     """A model cannot be lowered onto the execution IR.
 
-    Raised by :mod:`repro.ir.compile` for unknown model kinds and for
-    models whose forward pass cannot be expressed as a pure plan (e.g.
-    an attached fault injector that corrupts spikes at run time).
-    Callers that can fall back to the legacy engines catch this and do
-    so; the model itself is never left in a modified state.
+    Raised by :mod:`repro.ir.compile` for unknown model kinds,
+    unlabeled SNNs and models whose forward pass cannot be expressed as
+    a pure plan (e.g. an attached fault injector that corrupts spikes
+    at run time).  Serving re-raises it as a :class:`ServingError`
+    naming the model; ``SNNTrainer.predict`` simulates a refused timed
+    SNN on the batched grid.  The model itself is never left in a
+    modified state.
     """
 
 

@@ -34,8 +34,9 @@ bitwise the grid's contribution row.
 
 When any precondition fails (scipy missing, negative weights or
 modulation, decay outside ``[0, 1)``, non-positive thresholds, mixed
-durations) :func:`readout_winners` falls back to :func:`batch_winners`
-wholesale; the scan never runs "approximately".
+durations, a spike input outside the weight matrix)
+:func:`readout_winners` falls back to :func:`batch_winners` wholesale;
+the scan never runs "approximately".
 """
 
 from __future__ import annotations
@@ -83,6 +84,11 @@ def scan_refusal(network, trains: Sequence[Any]) -> Optional[str]:
         # weights are (n_neurons, n_inputs); the scan contracts against
         # the transpose, so the train width must match the input axis.
         return "train width does not match the weight matrix"
+    # The CSR kernel takes spike inputs as raw column indices and does
+    # not bound-check them; NumPy indexing in the grid does.
+    inputs = np.concatenate([train.inputs for train in trains])
+    if inputs.size and (inputs.min() < 0 or inputs.max() >= n_inputs):
+        return "spike input outside the weight matrix"
     return None
 
 

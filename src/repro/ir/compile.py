@@ -24,7 +24,10 @@ and emits the exact legacy forward pass as an instruction sequence:
 
 Models with a live spike-affecting fault injector refuse to compile
 (:class:`~repro.core.errors.CompileError`) — run-time corruption is not
-a pure dataflow — and callers fall back to the legacy engines.  The
+a pure dataflow.  Serving turns the refusal into a
+:class:`~repro.core.errors.ServingError` (such models are not served);
+:meth:`~repro.snn.network.SNNTrainer.predict` simulates a refused timed
+SNN with :func:`~repro.snn.batched.predict_batch`, the oracle.  The
 quantized MLP is the exception by design: its injector corrupts the
 stored code arrays *at construction*, so the plan's consts already are
 the faulted SRAM contents.
@@ -285,7 +288,7 @@ def compile_model(model, kind: Optional[str] = None) -> CompiledPlan:
         if injector is not None and not getattr(injector, "null", False):
             raise CompileError(
                 f"{kind} model has a live fault injector; run-time spike "
-                "corruption is not a pure dataflow — use the legacy engine"
+                "corruption is not a pure dataflow"
             )
         if kind == "mlp":
             return _lower_mlp(model)

@@ -31,7 +31,7 @@ class ExecutionContext:
     the rebuilt timed-SNN shim and its per-index encoded-spike-train
     cache — lives here.  Serving runners hold one context for the life
     of the runner, so served traffic pays the ~0.6 ms/image encoding
-    cost once per index, exactly like the legacy ``SNNwtRunner``.
+    cost once per index.
     """
 
     def __init__(self, plan: CompiledPlan):

@@ -5,9 +5,13 @@ Layers (each importable on its own):
 * :mod:`repro.serve.batcher` — dynamic micro-batching scheduler
   (``max_batch`` / ``max_wait_us`` window, bounded queue, deadline
   shedding, graceful drain).
-* :mod:`repro.serve.engine` — model runners + the routing
+* :mod:`repro.serve.engine` — plan runners + the routing
   :class:`~repro.serve.engine.InferenceServer` (per-model circuit
-  breakers, health/readiness probes).
+  breakers, health/readiness probes).  Every served model is a
+  compiled IR plan; a model that does not compile (a live spike-fault
+  injector, an unlabeled SNN, an object of no known kind) is refused
+  with a typed :class:`~repro.core.errors.ServingError` before it
+  serves anything.
 * :mod:`repro.serve.breaker` — the closed/open/half-open circuit
   breaker state machine.
 * :mod:`repro.serve.workers` — sharded worker pool over zero-copy
@@ -29,7 +33,8 @@ chaos*: serving is a *latency* transformation, never a *value* one —
 every served label is bit-identical to the corresponding direct
 ``predict`` call, at any batch size, concurrency, or backend, and
 faults may turn answers into typed errors but never into different
-answers.
+answers.  A model that injects spike faults at run time would answer
+differently by batch order and shard, so it is refused, not served.
 """
 
 from ..core.errors import (
@@ -51,7 +56,7 @@ from .chaos import (
     get_scenario,
     run_chaos,
 )
-from .engine import ArrayRunner, InferenceServer, ModelRunner, SNNwtRunner, build_runners
+from .engine import InferenceServer, ModelRunner, build_runners
 from .loadgen import GracefulDrain, run_loadtest
 from .metrics import (
     ServingMetrics,
@@ -65,7 +70,6 @@ from .supervisor import ShardSupervisor, SupervisorPolicy
 from .workers import ShardedPool
 
 __all__ = [
-    "ArrayRunner",
     "BatchPolicy",
     "BreakerPolicy",
     "ChaosEvent",
@@ -87,7 +91,6 @@ __all__ = [
     "ShardCrashLoop",
     "ShardSupervisor",
     "ShardedPool",
-    "SNNwtRunner",
     "SupervisorPolicy",
     "build_runners",
     "chaos_passed",

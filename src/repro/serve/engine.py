@@ -1,15 +1,18 @@
-"""Inference serving engine: model runners + the routing server.
+"""Inference serving engine: plan runners + the routing server.
 
 The pieces:
 
-* **Runners** adapt each trained model family to one uniform call —
+* **Runners** adapt a model to one uniform call —
   ``run(indices, images) -> labels`` — so the batcher and the worker
-  shards never special-case model kinds.  :class:`SNNwtRunner` is the
-  interesting one: the timed SNN's forward pass is stochastic, so the
-  runner derives every request's spike train from the request's own
-  dataset index (``child_rng(seed, "snn-test-spikes", index)``, the
-  PR2 scheme) and caches encoded trains per index — encoding is a flat
-  ~0.6 ms/image cost that served traffic pays once, not per request.
+  shards never special-case model kinds.  Every served model is a
+  compiled plan (:class:`PlanRunner`); a model that does not compile is
+  refused with a :class:`~repro.core.errors.ServingError` instead of
+  being served some other way.  The timed SNN's forward pass is
+  stochastic, so its plan derives every request's spike train from the
+  request's own dataset index (``child_rng(seed, "snn-test-spikes",
+  index)``, the PR2 scheme) and the runner's execution context caches
+  encoded trains per index — encoding is a flat ~0.6 ms/image cost that
+  served traffic pays once, not per request.
 * :class:`InferenceServer` owns one :class:`MicroBatcher` (and one
   :class:`ServingMetrics`) per served model, routes submissions by
   model name, resolves index-only requests against an attached image
@@ -20,7 +23,7 @@ The pieces:
 Bit-identity: a served prediction equals the corresponding direct
 ``predict`` / ``predict_batch`` call for the same index, independent
 of batch composition, concurrency, or backend — the per-index RNG
-scheme plus the PR2 batched-engine contract guarantee it, and
+scheme plus the IR's per-kind golden contract guarantee it, and
 ``tests/serve/test_engine.py`` asserts it.
 """
 
@@ -35,6 +38,7 @@ import numpy as np
 
 from ..core.errors import (
     CircuitOpen,
+    CompileError,
     DeadlineExceeded,
     NumericSentinelError,
     Overloaded,
@@ -43,7 +47,6 @@ from ..core.errors import (
 )
 from ..core.rng import SeedLike, child_rng
 from ..core.timing import phase
-from ..snn.batched import TEST_SPIKE_STREAM, batch_winners, encode_indexed
 from .batcher import BatchPolicy, MicroBatcher
 from .breaker import BreakerPolicy, CircuitBreaker
 from .metrics import ServingMetrics
@@ -69,122 +72,22 @@ class ModelRunner:
         return 0
 
 
-class ArrayRunner(ModelRunner):
-    """Deterministic models: one vectorized ``predict_fn(images)`` call.
-
-    Fits SNNwot, SNN+BP (both take raw luminance rows) and the float /
-    quantized MLPs (via their ``predict_images``).  ``indices`` are
-    ignored — these forward paths draw no randomness, so the index-
-    keyed RNG scheme is moot and bit-identity is free.
-    """
-
-    def __init__(self, predict_fn):
-        self._predict = predict_fn
-
-    def run(self, indices: Sequence[int], images: np.ndarray) -> np.ndarray:
-        return np.asarray(self._predict(np.atleast_2d(images)))
-
-
-class SNNwtRunner(ModelRunner):
-    """Timed-SNN serving: per-index spike-train cache + batched grid sim.
-
-    Args:
-        network: a trained, labeled :class:`~repro.snn.network.SpikingNetwork`.
-        seed: RNG root for test-time encoding (defaults to the
-            network's config seed, matching ``predict_batch``).
-        stream: RNG stream name (the PR2 test-spike stream).
-        max_cache: bound on cached trains (FIFO eviction); None keeps
-            every index ever served (fine at dataset scale).
-    """
-
-    def __init__(
-        self,
-        network,
-        seed: SeedLike = None,
-        stream: str = TEST_SPIKE_STREAM,
-        max_cache: Optional[int] = None,
-    ):
-        if network.neuron_labels is None:
-            raise ServingError(
-                "cannot serve an unlabeled SNN; run the labeling pass first"
-            )
-        self.network = network
-        self.seed = network.config.seed if seed is None else seed
-        self.stream = stream
-        self.max_cache = max_cache
-        self._trains: Dict[int, Any] = {}
-
-    def _encode_missing(
-        self, indices: Sequence[int], images: np.ndarray
-    ) -> None:
-        missing = [
-            (j, int(index))
-            for j, index in enumerate(indices)
-            if int(index) not in self._trains
-        ]
-        if not missing:
-            return
-        rows = np.atleast_2d(images)[[j for j, _ in missing]]
-        trains = encode_indexed(
-            self.network,
-            rows,
-            [index for _, index in missing],
-            seed=self.seed,
-            stream=self.stream,
-        )
-        for (_, index), train in zip(missing, trains):
-            self._trains[index] = train
-        if self.max_cache is not None:
-            while len(self._trains) > self.max_cache:
-                self._trains.pop(next(iter(self._trains)))
-
-    def precode(self, indices: Sequence[int], images: np.ndarray) -> int:
-        """Encode (and cache) the given rows ahead of traffic."""
-        before = len(self._trains)
-        self._encode_missing(indices, images)
-        return len(self._trains) - before
-
-    def run(self, indices: Sequence[int], images: np.ndarray) -> np.ndarray:
-        for index in indices:
-            if int(index) < 0:
-                raise ServingError(
-                    "snnwt serving needs a dataset index per request; the "
-                    "per-request RNG stream is keyed by index"
-                )
-        self._encode_missing(indices, images)
-        trains = [self._trains[int(index)] for index in indices]
-        winners = batch_winners(self.network, trains, batch_size=len(trains))
-        return np.asarray(self.network.neuron_labels)[winners]
-
-
 class PlanRunner(ModelRunner):
-    """Serve a :class:`~repro.ir.ops.CompiledPlan` (the default engine).
+    """Serve a :class:`~repro.ir.ops.CompiledPlan` (every served model's runner).
 
     One long-lived :class:`~repro.ir.runtime.ExecutionContext` carries
-    the timed SNN's per-index spike-train cache across requests, so a
-    plan runner has exactly the :class:`SNNwtRunner` warm-cache
-    behaviour — and deterministic plans simply ignore the context.
-    Bit-identity to the legacy runners is the IR's per-kind golden
-    contract (``tests/ir/test_golden.py``).
+    the timed SNN's per-index spike-train cache across requests, so
+    served traffic encodes each index once — and deterministic plans
+    simply ignore the context.  Bit-identity to each kind's direct
+    prediction is the IR's per-kind golden contract
+    (``tests/ir/test_golden.py``).
     """
 
     def __init__(self, plan, seed: SeedLike = None):
         from ..ir.runtime import ExecutionContext
 
-        if seed is not None and plan.requires_indices:
-            # The legacy SNNwtRunner lets callers re-root the RNG; the
-            # plan carries its seed in metadata, so rebind a copy (the
-            # fresh plan computes its own — different — signature).
-            plan = plan.__class__(
-                plan.kind,
-                plan.instructions,
-                plan.buffers,
-                plan.consts,
-                meta={**plan.meta, "seed": seed},
-                outputs=plan.outputs,
-            )
-        self.plan = plan
-        self._ctx = ExecutionContext(plan)
+        self.plan = reseeded(plan, seed)
+        self._ctx = ExecutionContext(self.plan)
 
     def precode(self, indices: Sequence[int], images: np.ndarray) -> int:
         if not self.plan.requires_indices:
@@ -236,56 +139,52 @@ class SerialPlanRunner(PlanRunner):
         )
 
 
-#: Engines ``build_runners`` / the pool / the CLI accept.
-ENGINES = ("plan", "legacy")
-
-
-def _legacy_runner(name: str, model, seed: SeedLike) -> ModelRunner:
-    from ..snn.network import SpikingNetwork
-
-    if isinstance(model, SpikingNetwork):
-        return SNNwtRunner(model, seed=seed)
-    if hasattr(model, "predict_images"):
-        return ArrayRunner(model.predict_images)
-    if hasattr(model, "predict"):
-        return ArrayRunner(model.predict)
-    raise ServingError(
-        f"model {name!r} ({type(model).__name__}) has no predict API"
-    )
-
-
 def build_runners(
     models: Dict[str, Any],
     seed: SeedLike = None,
-    engine: str = "plan",
 ) -> Dict[str, ModelRunner]:
-    """Wrap a ``name -> trained model`` mapping into runners.
+    """Compile a ``name -> trained model`` mapping into plan runners.
 
-    ``engine="plan"`` (the default) compiles each model onto the
-    execution IR and serves its :class:`CompiledPlan`; models that
-    refuse to compile (live fault injectors) fall back to their legacy
-    runner per model, so a partially-faulted fleet still serves.
-    ``engine="legacy"`` is the escape hatch: the pre-IR dispatch —
-    :class:`SNNwtRunner` for :class:`~repro.snn.network.SpikingNetwork`,
-    :class:`ArrayRunner` over ``predict_images``/``predict`` otherwise.
+    Every served model is a :class:`~repro.ir.ops.CompiledPlan`.  A
+    model that does not compile (a live spike-fault injector, an
+    unlabeled SNN, an object of no known kind) is refused with a
+    :class:`~repro.core.errors.ServingError` naming it, chained from
+    the :class:`~repro.core.errors.CompileError`, before any runner is
+    returned.
     """
-    if engine not in ENGINES:
-        raise ServingError(
-            f"unknown serving engine {engine!r}; use one of {ENGINES}"
-        )
-    runners: Dict[str, ModelRunner] = {}
-    for name, model in models.items():
-        if engine == "plan":
-            from ..core.errors import CompileError
-            from ..ir.plan_cache import get_plan
+    return {
+        name: PlanRunner(compile_for_serving(name, model), seed=seed)
+        for name, model in models.items()
+    }
 
-            try:
-                runners[name] = PlanRunner(get_plan(model), seed=seed)
-                continue
-            except CompileError:
-                pass  # fall back to the legacy runner for this model
-        runners[name] = _legacy_runner(name, model, seed)
-    return runners
+
+def compile_for_serving(name: str, model):
+    """The model's (memoized) plan, or a :class:`ServingError` naming it."""
+    from ..ir.plan_cache import get_plan
+
+    try:
+        return get_plan(model)
+    except CompileError as error:
+        raise ServingError(f"cannot serve model {name!r}: {error}") from error
+
+
+def reseeded(plan, seed: SeedLike):
+    """``plan`` with the timed SNN's RNG re-rooted at ``seed``.
+
+    The plan carries its seed in metadata, so this rebinds a copy (the
+    fresh plan computes its own — different — signature).  ``None`` and
+    deterministic plans come back unchanged.
+    """
+    if seed is None or not plan.requires_indices:
+        return plan
+    return plan.__class__(
+        plan.kind,
+        plan.instructions,
+        plan.buffers,
+        plan.consts,
+        meta={**plan.meta, "seed": seed},
+        outputs=plan.outputs,
+    )
 
 
 class InferenceServer:
@@ -296,9 +195,9 @@ class InferenceServer:
     * ``runners`` — in-process :class:`ModelRunner` instances (the
       default; what ``build_runners`` produces);
     * ``pool`` — a :class:`~repro.serve.workers.ShardedPool` whose
-      worker processes hold the models (rebuilt zero-copy from shared
-      memory); the server still owns batching, admission control and
-      metrics, and the pool owns execution.
+      worker processes hold the compiled plans (rebound zero-copy to
+      shared memory); the server still owns batching, admission
+      control and metrics, and the pool owns execution.
 
     Each model's batcher runs ``pool.jobs`` scheduler threads over a
     pool — while one batch is on a shard the next forms and goes to the
@@ -394,13 +293,12 @@ class InferenceServer:
         policy: Optional[BatchPolicy] = None,
         images: Optional[np.ndarray] = None,
         seed: SeedLike = None,
-        engine: str = "plan",
         audit_rate: float = 0.0,
         audit_seed: int = 0,
     ) -> "InferenceServer":
         """In-process server over trained models (see :func:`build_runners`)."""
         return cls(
-            runners=build_runners(models, seed=seed, engine=engine),
+            runners=build_runners(models, seed=seed),
             policy=policy,
             images=images,
             audit_rate=audit_rate,
@@ -529,7 +427,6 @@ class InferenceServer:
         name: str,
         model,
         seed: SeedLike = None,
-        engine: str = "plan",
     ) -> Dict[str, Any]:
         """Replace one served model's weights without dropping requests.
 
@@ -540,7 +437,10 @@ class InferenceServer:
         so queued requests drain to whichever model is current — none
         are shed).  Pool backend: delegates to
         :meth:`~repro.serve.workers.ShardedPool.hot_swap`, which rolls
-        the shard slots onto the new weights one at a time.
+        the shard slots onto the new weights one at a time.  Either
+        way a model that does not compile raises
+        :class:`~repro.core.errors.ServingError` before the old model
+        stops serving.
         """
         if name not in self._batchers:
             raise ServingError(
@@ -551,7 +451,7 @@ class InferenceServer:
         if self.pool is not None:
             result = self.pool.hot_swap({name: model})
             return {"model": name, "backend": "pool", **result}
-        runner = build_runners({name: model}, seed=seed, engine=engine)[name]
+        runner = build_runners({name: model}, seed=seed)[name]
         self.runners[name] = runner
         return {"model": name, "backend": "runners"}
 
@@ -599,13 +499,6 @@ class InferenceServer:
             },
             "plan_cache": plan_cache_stats(),
         }
-        if self.runners:
-            payload["engines"] = {
-                name: (
-                    "plan" if isinstance(runner, PlanRunner) else "legacy"
-                )
-                for name, runner in sorted(self.runners.items())
-            }
         if self.pool is not None:
             payload["pool"] = self.pool.stats()
         payload["integrity"] = self.integrity()
@@ -730,11 +623,9 @@ class InferenceServer:
         with self._audit_lock:
             return float(self._audit_rng.random()) < self.audit_rate
 
-    def _oracle_for(self, name: str) -> Optional[ModelRunner]:
+    def _oracle_for(self, name: str) -> ModelRunner:
         """Serial-interpreter twin of an in-process plan runner (cached).
 
-        Legacy runners have no independent execution path to compare
-        against, so they return None (counted as ``audit_skipped``).
         The cache is keyed by runner identity: :meth:`swap_model`
         replaces the runner object, which invalidates the oracle.
         """
@@ -742,8 +633,6 @@ class InferenceServer:
         cached = self._oracle_runners.get(name)
         if cached is not None and cached[0] is runner:
             return cached[1]
-        if not isinstance(runner, PlanRunner):
-            return None
         oracle = SerialPlanRunner(runner.plan)
         self._oracle_runners[name] = (runner, oracle)
         return oracle
@@ -775,10 +664,6 @@ class InferenceServer:
             else:
                 oracle = self._oracle_for(name)
                 rows = images
-            if oracle is None:
-                with self._audit_lock:
-                    self._audit_counters["audit_skipped"] += 1
-                return
             expected = np.asarray(oracle.run(indices, np.atleast_2d(rows)))
         except Exception:
             with self._audit_lock:

@@ -390,7 +390,6 @@ def run_loadtest(
     deadline_ms: Optional[float] = None,
     max_retries: int = 2,
     supervise: bool = True,
-    engine: str = "plan",
     audit_rate: float = 0.0,
     scrub_period: Optional[float] = None,
 ) -> Dict[str, Any]:
@@ -402,10 +401,10 @@ def run_loadtest(
     memory — supervised (dead shards respawn) unless ``supervise``
     is off.  ``deadline_ms`` attaches a per-request latency budget;
     ``max_retries`` bounds per-task shard-death requeues before
-    quarantine.  ``engine`` selects the execution engine: ``"plan"``
-    (default) serves compiled IR plans, ``"legacy"`` the historical
-    per-model runners; both are verified bit-identical against direct
-    predictions when ``verify`` is on.  ``audit_rate`` samples that
+    quarantine.  Every model is served as a compiled IR plan, verified
+    bit-identical against direct predictions when ``verify`` is on; a
+    model that does not compile raises :class:`ServingError`.
+    ``audit_rate`` samples that
     fraction of served batches onto the serial-oracle audit lane
     (``0.0`` keeps the request path bit-identical to an audit-free
     server); ``scrub_period`` enables the pool's background integrity
@@ -435,7 +434,6 @@ def run_loadtest(
             warm=warm,
             max_task_retries=max_retries,
             supervisor=SupervisorPolicy(seed=seed) if supervise else None,
-            engine=engine,
             scrub_period=scrub_period,
         )
         server = InferenceServer(
@@ -451,7 +449,6 @@ def run_loadtest(
             policy=policy,
             images=test_images,
             seed=seed,
-            engine=engine,
             audit_rate=audit_rate,
             audit_seed=seed,
         )
@@ -469,7 +466,6 @@ def run_loadtest(
             "deadline_ms": deadline_ms,
             "max_retries": max_retries,
             "seed": seed,
-            "engine": engine,
             "audit_rate": audit_rate,
             "scrub_period": scrub_period,
             "n_test_images": int(len(test_images)),

@@ -267,9 +267,6 @@ def render_stats(payload: Dict[str, Any]) -> str:
     pool = payload.get("pool")
     if isinstance(pool, dict):
         lines.append("pool:")
-        engine = pool.get("engine")
-        if engine:
-            lines.append(f"  engine:    {engine}")
         lines.append(
             "  shards:    "
             f"{len(pool.get('alive_shards', []))} alive of "
@@ -372,8 +369,8 @@ def render_stats(payload: Dict[str, Any]) -> str:
         )
         quarantined = integrity.get("audit_quarantined_pairs") or []
         if quarantined:
-            described = "  ".join(f"{sid}:{engine}" for sid, engine in quarantined)
-            lines.append(f"  quarantined (shard:engine):  {described}")
+            described = "  ".join(f"{sid}:{model}" for sid, model in quarantined)
+            lines.append(f"  quarantined (shard:model):  {described}")
         if integrity.get("unrecoverable"):
             lines.append("  UNRECOVERABLE: corruption restore failed")
     chaos = payload.get("chaos")

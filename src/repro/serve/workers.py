@@ -1,16 +1,20 @@
 """Sharded worker pool: warm model processes over zero-copy weights.
 
 One :class:`ShardedPool` owns N worker processes ("shards").  The
-parent publishes every served model's weight arrays — plus, optionally,
-the dataset image table — into a single
+parent compiles every served model onto the execution IR and publishes
+each plan's const arrays (and, for the timed SNN, its encoded spike
+trains) — plus, optionally, the dataset image table — into a single
 :class:`~repro.serve.shm.SharedArrayBundle`; each shard *attaches* and
-rebuilds its models around read-only numpy views of the segment, so N
+rebinds its plans around read-only numpy views of the segment, so N
 shards share one copy of the weights and the dataset (zero pickling,
 shared page cache).  Only small things cross the process boundary:
-model configs / coders / label maps at spawn, and per-task
+plan skeletons at spawn, and per-task
 ``(task_id, model, indices, images-or-None)`` tuples afterwards — with
 index-only traffic against a shared dataset, a task is just a list of
-ints.
+ints.  A model that does not compile is refused with a
+:class:`~repro.core.errors.ServingError` before any segment or shard
+exists (or, in :meth:`ShardedPool.hot_swap`, before the old model stops
+serving).
 
 Dispatch is **least-loaded**: every task (a fresh batch, a requeue
 after a shard death, a re-dispatch after corruption) goes to the alive
@@ -80,14 +84,13 @@ scenario):
   serial-oracle runner built from the *pristine* arrays
   (:meth:`ShardedPool.audit_oracle`) and reports mismatches through
   :meth:`ShardedPool.report_audit_mismatch`, which quarantines the
-  (shard, engine) pair, retires the shard, and escalates to a full
+  (shard, model) pair, retires the shard, and escalates to a full
   scrub.
 
-Rebuild-from-views is exact: every model family's forward pass reads
-its arrays without writing (inference only), so handing it read-only
-views of the published weights yields bit-identical predictions to the
-parent's own models — the pool changes *where* inference runs, never
-its result.
+Rebuild-from-views is exact: plan execution reads its consts without
+writing (inference only), so handing it read-only views of the
+published arrays yields bit-identical predictions to the parent's own
+models — the pool changes *where* inference runs, never its result.
 """
 
 from __future__ import annotations
@@ -140,7 +143,7 @@ _WEDGE = "__wedge__"
 
 
 # ---------------------------------------------------------------------------
-# Model publish / rebuild
+# Plan publish / rebuild
 # ---------------------------------------------------------------------------
 
 
@@ -163,31 +166,21 @@ def _publish_plan(
     preload it instead of re-encoding the dataset each, which is where
     the faster spawn->ready comes from.
 
-    Raises :class:`~repro.core.errors.CompileError` for models that
-    cannot lower (live fault injectors); the caller falls back to the
-    legacy publish for that model.
+    Every served model ships this way.  A model that does not compile
+    (a live spike-fault injector, an unlabeled SNN, an object of no
+    known kind) raises :class:`~repro.core.errors.ServingError` naming
+    it, chained from the :class:`~repro.core.errors.CompileError`, and
+    publishes nothing.
     """
-    from ..ir.plan_cache import get_plan, trains_arrays_for_shipping
+    from ..ir.plan_cache import trains_arrays_for_shipping
+    from .engine import compile_for_serving, reseeded
 
-    plan = get_plan(model)
-    if seed is not None and plan.requires_indices:
-        # Bake the pool's RNG root into the shipped plan so shards and
-        # shipped trains agree (mirrors SNNwtRunner's seed override).
-        plan = plan.__class__(
-            plan.kind,
-            plan.instructions,
-            plan.buffers,
-            plan.consts,
-            meta={**plan.meta, "seed": seed},
-            outputs=plan.outputs,
-        )
+    # The pool's RNG root goes into the shipped plan so shards and the
+    # shipped trains agree.
+    plan = reseeded(compile_for_serving(name, model), seed)
     for cname, value in plan.consts.items():
         arrays[f"{name}/plan/consts/{cname}"] = np.asarray(value)
-    spec: Dict[str, Any] = {
-        "kind": "plan",
-        "skeleton": plan.skeleton(),
-        "trains": False,
-    }
+    spec: Dict[str, Any] = {"skeleton": plan.skeleton(), "trains": False}
     if warm and images is not None and plan.requires_indices:
         for key, value in trains_arrays_for_shipping(plan, images).items():
             arrays[f"{name}/plan/trains/{key}"] = value
@@ -226,125 +219,6 @@ def _rebuild_plan_runner(name: str, spec: Dict[str, Any], bundle):
     return runner
 
 
-def _publish_model(name: str, model, arrays: Dict[str, np.ndarray]) -> Dict[str, Any]:
-    """Describe ``model`` as (small picklable meta, big arrays in shm).
-
-    Returns the picklable *spec* shipped to workers; mutates ``arrays``
-    with the model's weight tensors under ``{name}/...`` keys.
-    """
-    from ..mlp.network import MLP
-    from ..mlp.quantized import QuantizedMLP
-    from ..snn.network import SpikingNetwork
-    from ..snn.snn_bp import BackPropSNN
-    from ..snn.snn_wot import SNNWithoutTime
-
-    def put(key: str, value: np.ndarray) -> None:
-        arrays[f"{name}/{key}"] = np.asarray(value)
-
-    if isinstance(model, SpikingNetwork):
-        put("weights", model.weights)
-        put("thresholds", model.thresholds)
-        return {
-            "kind": "snnwt",
-            "config": model.config,
-            "coder": model.coder,
-            "labels": np.asarray(model.neuron_labels),
-        }
-    if isinstance(model, SNNWithoutTime):
-        network = model.network
-        put("weights", model.weights)
-        put("thresholds", network.thresholds)
-        return {
-            "kind": "snnwot",
-            "config": network.config,
-            "coder": network.coder,
-            "labels": np.asarray(network.neuron_labels),
-        }
-    if isinstance(model, BackPropSNN):
-        put("weights", model.weights)
-        return {
-            "kind": "snnbp",
-            "config": model.config,
-            "learning_rate": model.learning_rate,
-            "labels": np.asarray(model.neuron_labels),
-        }
-    if isinstance(model, QuantizedMLP):
-        put("w_hidden_codes", model.w_hidden_codes)
-        put("b_hidden_codes", model.b_hidden_codes)
-        put("w_output_codes", model.w_output_codes)
-        put("b_output_codes", model.b_output_codes)
-        return {
-            "kind": "mlp-q",
-            "config": model.config,
-            "weight_format": model.weight_format,
-            "activation_format": model.activation_format,
-        }
-    if isinstance(model, MLP):
-        put("w_hidden", model.w_hidden)
-        put("b_hidden", model.b_hidden)
-        put("w_output", model.w_output)
-        put("b_output", model.b_output)
-        return {"kind": "mlp", "config": model.config}
-    raise ServingError(
-        f"cannot publish model {name!r} of type {type(model).__name__}"
-    )
-
-
-def rebuild_model(name: str, spec: Dict[str, Any], bundle: SharedArrayBundle):
-    """Reconstruct a served model around the bundle's read-only views."""
-    kind = spec["kind"]
-
-    def view(key: str) -> np.ndarray:
-        return bundle[f"{name}/{key}"]
-
-    if kind in ("snnwt", "snnwot"):
-        from ..snn.network import SpikingNetwork
-
-        network = SpikingNetwork(spec["config"], coder=spec["coder"])
-        network.weights = view("weights")
-        # Inference never adjusts thresholds (homeostasis is a training
-        # mechanism), so the read-only view is safe — and any stray
-        # write would raise instead of silently diverging the shard.
-        network.population.thresholds = view("thresholds")
-        network.neuron_labels = spec["labels"]
-        if kind == "snnwt":
-            return network
-        from ..snn.snn_wot import SNNWithoutTime
-
-        return SNNWithoutTime(network)
-    if kind == "snnbp":
-        from ..snn.snn_bp import BackPropSNN
-
-        model = BackPropSNN(spec["config"], learning_rate=spec["learning_rate"])
-        model.weights = view("weights")
-        model.neuron_labels = spec["labels"]
-        return model
-    if kind == "mlp-q":
-        from ..mlp.quantized import QuantizedMLP, SigmoidLUT
-
-        model = object.__new__(QuantizedMLP)
-        model.config = spec["config"]
-        model.weight_format = spec["weight_format"]
-        model.activation_format = spec["activation_format"]
-        model.lut = SigmoidLUT.build(slope=spec["config"].sigmoid_slope)
-        model.output_lut = SigmoidLUT.build(slope=1.0)
-        model.w_hidden_codes = view("w_hidden_codes")
-        model.b_hidden_codes = view("b_hidden_codes")
-        model.w_output_codes = view("w_output_codes")
-        model.b_output_codes = view("b_output_codes")
-        return model
-    if kind == "mlp":
-        from ..mlp.network import MLP
-
-        model = MLP(spec["config"])
-        model.w_hidden = view("w_hidden")
-        model.b_hidden = view("b_hidden")
-        model.w_output = view("w_output")
-        model.b_output = view("b_output")
-        return model
-    raise ServingError(f"unknown model kind {kind!r} for {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # Worker process
 # ---------------------------------------------------------------------------
@@ -354,7 +228,6 @@ def _shard_main(
     shard_id: int,
     bundle_spec: Tuple[str, Layout, Dict[str, str]],
     model_specs: Dict[str, Dict[str, Any]],
-    seed: SeedLike,
     warm: bool,
     start_method: str,
     in_q,
@@ -370,25 +243,16 @@ def _shard_main(
     import os
     import time as time_module
 
-    from .engine import build_runners
-
     # Fork-started shards share the parent's resource tracker; see
     # SharedArrayBundle.attach for why untrack must follow the method.
     bundle = SharedArrayBundle.attach(
         *bundle_spec, untrack=(start_method != "fork")
     )
     try:
-        runners = {}
-        legacy_models = {}
-        for name, spec in model_specs.items():
-            if spec.get("kind") == "plan":
-                runners[name] = _rebuild_plan_runner(name, spec, bundle)
-            else:
-                legacy_models[name] = rebuild_model(name, spec, bundle)
-        if legacy_models:
-            runners.update(
-                build_runners(legacy_models, seed=seed, engine="legacy")
-            )
+        runners = {
+            name: _rebuild_plan_runner(name, spec, bundle)
+            for name, spec in model_specs.items()
+        }
         images = bundle[_DATASET_KEY] if _DATASET_KEY in bundle else None
         if warm and images is not None:
             # Plan runners with shipped trains find every index already
@@ -509,12 +373,13 @@ class ShardedPool:
     from ``jobs`` batcher threads per model, one per shard.
 
     Args:
-        models: ``name -> trained model`` (the publishable families:
-            SpikingNetwork, SNNwot, SNN+BP, MLP, QuantizedMLP).
+        models: ``name -> trained model`` (the five plan kinds:
+            SpikingNetwork, SNNwot, SNN+BP, MLP, QuantizedMLP); a model
+            that does not compile raises :class:`ServingError`.
         jobs: number of shard processes.
         images: optional dataset table published into shared memory so
             tasks can reference rows by index only.
-        seed: RNG root for the shards' SNNwt runners.
+        seed: RNG root baked into the shipped SNNwt plan.
         warm: pre-encode SNNwt spike-train caches in every shard at
             startup (against the published dataset).
         start_method: multiprocessing start method (default: ``fork``
@@ -550,15 +415,8 @@ class ShardedPool:
         max_task_retries: int = 2,
         supervisor=None,
         chaos_hooks: bool = False,
-        engine: str = "plan",
         scrub_period: Optional[float] = None,
     ):
-        from .engine import ENGINES
-
-        if engine not in ENGINES:
-            raise ServingError(
-                f"unknown pool engine {engine!r}; use one of {ENGINES}"
-            )
         if jobs < 1:
             raise ServingError(f"jobs must be >= 1, got {jobs}")
         if not models:
@@ -624,7 +482,7 @@ class ShardedPool:
         self._recovery_done = threading.Event()
         self._recovery_done.set()
         self._last_corruption: Optional[Dict[str, Any]] = None
-        #: (shard_id, engine) pairs quarantined by audit mismatches.
+        #: (shard_id, model) pairs quarantined by audit mismatches.
         self._audit_quarantined: set = set()
         #: per-model parent-side serial oracle runners, keyed on the
         #: bundle they were built against (invalidated by hot_swap).
@@ -641,13 +499,14 @@ class ShardedPool:
         #: waits on it instead of busy-polling.
         self.death_event = threading.Event()
 
-        self.engine = engine
         self._seed = seed
         self._warm = warm
         self._images = None if images is None else np.asarray(images)
         #: spawn->ready wall-clock per shard come-up (cold-start metric).
         self._spawn_seconds: List[float] = []
         arrays: Dict[str, np.ndarray] = {}
+        # Compiles every model first: a refusal raises before any
+        # shared-memory segment or shard exists.
         self._specs = {
             name: self._publish_spec(name, model, arrays)
             for name, model in models.items()
@@ -698,22 +557,10 @@ class ShardedPool:
     def _publish_spec(
         self, name: str, model, arrays: Dict[str, np.ndarray]
     ) -> Dict[str, Any]:
-        """Publish one model per the pool's engine (plan with fallback)."""
-        if self.engine == "plan":
-            from ..core.errors import CompileError
-
-            try:
-                return _publish_plan(
-                    name,
-                    model,
-                    arrays,
-                    self._seed,
-                    self._images,
-                    self._warm,
-                )
-            except CompileError:
-                pass  # e.g. live fault injector: ship the legacy form
-        return _publish_model(name, model, arrays)
+        """Publish one model's plan (see :func:`_publish_plan`)."""
+        return _publish_plan(
+            name, model, arrays, self._seed, self._images, self._warm
+        )
 
     def _spawn_shard(self, shard_id: int, generation: int) -> _Shard:
         """Start one worker process for ``shard_id`` (not yet ready)."""
@@ -725,7 +572,6 @@ class ShardedPool:
                 shard_id,
                 self._bundle.spec(),
                 self._specs,
-                self._seed,
                 self._warm,
                 self._start_method,
                 in_q,
@@ -869,6 +715,8 @@ class ShardedPool:
         and a retiring shard's in-flight tasks requeue on survivors.
         Requests racing the rollover may be answered by either
         generation; untouched models answer bit-identically from both.
+        An update that does not compile raises :class:`ServingError`
+        before anything is published, so the old model keeps serving.
         """
         unknown = sorted(set(updates) - set(self.models))
         if unknown:
@@ -983,7 +831,6 @@ class ShardedPool:
             payload["quarantined_signatures"] = [
                 list(map(str, sig)) for sig in sorted(self._quarantine)
             ]
-            payload["engine"] = self.engine
             payload["peak_in_flight"] = self._peak_in_flight
             spawns = list(self._spawn_seconds)
         payload["spawn_ready_seconds"] = {
@@ -1182,19 +1029,9 @@ class ShardedPool:
             )
         if cached is not None and cached[0] is bundle:
             return cached[1]
-        if spec.get("kind") == "plan":
-            from .engine import SerialPlanRunner
+        from .engine import SerialPlanRunner
 
-            runner = SerialPlanRunner.twin(
-                _rebuild_plan_runner(name, spec, pristine)
-            )
-        else:
-            from .engine import build_runners
-
-            model = rebuild_model(name, spec, pristine)
-            runner = build_runners(
-                {name: model}, seed=self._seed, engine="legacy"
-            )[name]
+        runner = SerialPlanRunner.twin(_rebuild_plan_runner(name, spec, pristine))
         with self._lock:
             self._audit_runners[name] = (bundle, runner)
         return runner
@@ -1217,7 +1054,7 @@ class ShardedPool:
     def report_audit_mismatch(self, shard_id: int, model: str) -> None:
         """The audit lane caught a shard answer differing from the oracle.
 
-        Quarantines the (shard, engine) pair, escalates to a full
+        Quarantines the (shard, model) pair, escalates to a full
         segment scrub (whose recovery rolls every shard when it also
         finds corruption), and otherwise retires just the offending
         shard so a fresh attach-verified worker replaces it.
@@ -1226,7 +1063,7 @@ class ShardedPool:
             if self._closing:
                 return
             self._integrity["audit_mismatch_reports"] += 1
-            self._audit_quarantined.add((int(shard_id), self.engine))
+            self._audit_quarantined.add((int(shard_id), model))
             alive = False
             generation = 0
             if 0 <= shard_id < len(self._shards):
@@ -1301,8 +1138,7 @@ class ShardedPool:
             payload: Dict[str, Any] = dict(self._integrity)
             payload["scrub_period"] = self.scrub_period
             payload["audit_quarantined_pairs"] = [
-                [sid, engine]
-                for sid, engine in sorted(self._audit_quarantined)
+                [sid, model] for sid, model in sorted(self._audit_quarantined)
             ]
             payload["last_corruption"] = (
                 dict(self._last_corruption) if self._last_corruption else None

@@ -510,7 +510,6 @@ class SNNTrainer:
         self,
         dataset: Dataset,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        engine: str = "plan",
     ) -> np.ndarray:
         """Predictions for every sample of a dataset (batched engine).
 
@@ -520,14 +519,12 @@ class SNNTrainer:
         size or worker count — and are bit-identical to
         :meth:`predict_serial` at every ``batch_size``.
 
-        ``engine="plan"`` (default) routes through the compiled
-        execution IR (:mod:`repro.ir`) — same spike streams, same
-        batched simulator, plus a content-addressed cache of the
-        encoded dataset so repeated evaluation skips re-encoding.
-        ``engine="legacy"`` calls :func:`predict_batch` directly; both
-        are bit-identical to :meth:`predict_serial`.  A network with a
-        live fault injector falls back to legacy automatically (plans
-        compile only clean models).
+        Runs the compiled execution IR (:mod:`repro.ir`) — same spike
+        streams, same batched simulator, plus a content-addressed cache
+        of the encoded dataset so repeated evaluation skips
+        re-encoding.  A network the compiler refuses (a live
+        spike-fault injector: run-time corruption is not a pure
+        dataflow) is simulated by :func:`predict_batch` instead.
 
         .. note:: Before the batched engine, this method consumed one
            shared generator sequentially, which coupled every
@@ -535,34 +532,27 @@ class SNNTrainer:
            intentional one-time change to the expected spike streams
            (accuracy fixtures are tolerance-based and unaffected).
         """
-        if engine not in ("plan", "legacy"):
-            raise TrainingError(
-                f"unknown predict engine {engine!r}; use 'plan' or 'legacy'"
-            )
-        if engine == "plan":
-            from ..core.errors import CompileError
-            from ..ir import compile_model, run_plan
-            from ..ir.plan_cache import context_for
+        from ..core.errors import CompileError
+        from ..ir import compile_model, run_plan
+        from ..ir.plan_cache import context_for
 
-            try:
-                # Compile fresh (not via the plan memo): a trainer may
-                # keep mutating this network in place between predicts,
-                # and plan consts are snapshots.  Compilation is cheap;
-                # the expensive encoded-dataset cache is keyed by
-                # content, not by plan object, so it still hits.
-                plan = compile_model(self.network, kind="snnwt")
-            except CompileError:
-                pass  # live fault injector: simulate the faulty network
-            else:
-                ctx = context_for(plan, dataset.images, warm=True)
-                return run_plan(
-                    plan,
-                    dataset.images,
-                    indices=list(range(len(dataset))),
-                    ctx=ctx,
-                )
-        return predict_batch(
-            self.network, dataset.images, batch_size=batch_size
+        try:
+            # Compile fresh (not via the plan memo): a trainer may keep
+            # mutating this network in place between predicts, and plan
+            # consts are snapshots.  Compilation is cheap; the expensive
+            # encoded-dataset cache is keyed by content, not by plan
+            # object, so it still hits.
+            plan = compile_model(self.network, kind="snnwt")
+        except CompileError:
+            return predict_batch(
+                self.network, dataset.images, batch_size=batch_size
+            )
+        ctx = context_for(plan, dataset.images, warm=True)
+        return run_plan(
+            plan,
+            dataset.images,
+            indices=list(range(len(dataset))),
+            ctx=ctx,
         )
 
     def predict_serial(self, dataset: Dataset) -> np.ndarray:
@@ -586,13 +576,10 @@ class SNNTrainer:
         self,
         dataset: Dataset,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        engine: str = "plan",
     ) -> EvaluationResult:
         """Accuracy bundle on a test set."""
         with phase("eval"):
-            predictions = self.predict(
-                dataset, batch_size=batch_size, engine=engine
-            )
+            predictions = self.predict(dataset, batch_size=batch_size)
             return evaluate(predictions, dataset.labels, dataset.n_classes)
 
 

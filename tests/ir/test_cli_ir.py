@@ -41,6 +41,8 @@ class TestIrDump:
             ["ir-dump", "mlp-q", "--backend", "x"],
             ["loadtest", "--backend", "x"],
             ["backends"],
+            ["loadtest", "--engine", "legacy"],
+            ["loadtest", "--engine", "plan"],
         ],
     )
     def test_no_engine_selection_surface(self, argv, capsys):

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from repro.core.errors import CompileError
+from repro.core.metrics import evaluate
 from repro.ir import compile_model, run_plan, run_plan_serial
+from repro.snn.batched import predict_batch
 from repro.snn.network import SNNTrainer
 
 #: Both executors, for checks that must hold on each of them.
@@ -74,25 +76,31 @@ class TestTrainerPlanEngine:
     def test_predict_engines_agree(self, trained_snn, digits_small):
         _, test_set = digits_small
         subset = test_set.take(24)
-        trainer = SNNTrainer(trained_snn)
-        plan_labels = trainer.predict(subset)
-        legacy_labels = trainer.predict(subset, engine="legacy")
-        np.testing.assert_array_equal(plan_labels, legacy_labels)
+        plan_labels = SNNTrainer(trained_snn).predict(subset)
+        oracle = predict_batch(trained_snn, subset.images)
+        np.testing.assert_array_equal(plan_labels, oracle)
 
     def test_unknown_engine_rejected(self, trained_snn, digits_small):
-        from repro.core.errors import TrainingError
-
+        # There is one engine and no argument to choose it.
         _, test_set = digits_small
-        with pytest.raises(TrainingError):
-            SNNTrainer(trained_snn).predict(test_set, engine="turbo")
+        trainer = SNNTrainer(trained_snn)
+        for engine in ("plan", "legacy", "turbo"):
+            with pytest.raises(TypeError):
+                trainer.predict(test_set, engine=engine)
+            with pytest.raises(TypeError):
+                trainer.evaluate(test_set, engine=engine)
 
     def test_evaluate_routes_through_plan(self, trained_snn, digits_small):
         _, test_set = digits_small
         subset = test_set.take(24)
-        trainer = SNNTrainer(trained_snn)
-        plan_eval = trainer.evaluate(subset)
-        legacy_eval = trainer.evaluate(subset, engine="legacy")
-        assert plan_eval.accuracy == legacy_eval.accuracy
+        plan_eval = SNNTrainer(trained_snn).evaluate(subset)
+        oracle = evaluate(
+            predict_batch(trained_snn, subset.images),
+            subset.labels,
+            subset.n_classes,
+        )
+        assert plan_eval.accuracy == oracle.accuracy
+        np.testing.assert_array_equal(plan_eval.confusion, oracle.confusion)
 
 
 class TestInputChecks:

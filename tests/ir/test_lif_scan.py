@@ -118,6 +118,21 @@ def _kernel_missing(network, trains, monkeypatch):
     monkeypatch.setattr(batched, "csr_matvecs_kernel", lambda: None)
 
 
+def _input_index(index):
+    """Point one spike of a dense train at column ``index``."""
+
+    def corrupt(network, trains, monkeypatch):
+        dense = trains[3]
+        inputs = dense.inputs.copy()
+        inputs[0] = index
+        trains[3] = SpikeTrain(
+            dense.times, inputs, dense.n_inputs, dense.duration,
+            dense.modulation,
+        )
+
+    return corrupt
+
+
 REFUSALS = {
     "negative synaptic weights": _negative_weight,
     "non-positive firing thresholds": _zero_threshold,
@@ -125,6 +140,10 @@ REFUSALS = {
     "negative spike modulation": _negative_modulation,
     "train width does not match the weight matrix": _wider_weights,
     "scipy.sparse CSR kernel unavailable": _kernel_missing,
+    "spike input outside the weight matrix (index n_inputs)": _input_index(
+        N_INPUTS
+    ),
+    "spike input outside the weight matrix (index -1)": _input_index(-1),
 }
 
 
@@ -134,18 +153,25 @@ class TestRefusalsTakeTheGrid:
         network = _network(4)
         trains = _trains(network, 9, seed=4)
         REFUSALS[reason](network, trains, monkeypatch)
-        assert scan_refusal(network, trains) == reason
+        assert scan_refusal(network, trains) == reason.split(" (")[0]
 
         def scan_must_not_run(*args, **kwargs):
             raise AssertionError("the scan ran on refused trains")
 
         monkeypatch.setattr(lif_scan, "scan_winners", scan_must_not_run)
-        if reason == "trains with mixed duration/n_inputs":
-            # The grid cannot batch them either and says so.
-            with pytest.raises(SimulationError):
+        # The grid cannot batch mixed trains either and says so; its
+        # NumPy indexing raises for a column past the matrix (and wraps
+        # a negative one, which the readout then equals).
+        raised = {
+            "trains with mixed duration/n_inputs": SimulationError,
+            "spike input outside the weight matrix (index n_inputs)": IndexError,
+        }.get(reason)
+        if raised is not None:
+            with pytest.raises(raised) as grid:
                 batch_winners(network, trains)
-            with pytest.raises(SimulationError):
+            with pytest.raises(raised) as readout:
                 readout_winners(network, trains)
+            assert str(readout.value) == str(grid.value)
             return
         np.testing.assert_array_equal(
             readout_winners(network, trains), batch_winners(network, trains)

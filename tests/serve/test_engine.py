@@ -15,14 +15,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.errors import Overloaded, ServingError
+from repro.core.errors import CompileError, Overloaded, ServingError
 from repro.mlp.quantized import QuantizedMLP
 from repro.serve.batcher import BatchPolicy
 from repro.serve.engine import (
-    ArrayRunner,
     InferenceServer,
     ModelRunner,
-    SNNwtRunner,
+    PlanRunner,
     build_runners,
 )
 from repro.snn.batched import predict_batch
@@ -74,25 +73,21 @@ class TestConstruction:
             InferenceServer(runners={})
 
     def test_build_runners_dispatch(self, served_models):
-        from repro.serve.engine import PlanRunner
-
-        # The default engine compiles every kind onto the IR...
+        # Every kind compiles onto the IR; each runner serves its plan.
         runners = build_runners(served_models)
         for name in served_models:
             assert isinstance(runners[name], PlanRunner)
-        # ...and the legacy escape hatch keeps the pre-IR dispatch.
-        legacy = build_runners(served_models, engine="legacy")
-        assert isinstance(legacy["snnwt"], SNNwtRunner)
-        for name in ("snnwot", "mlp", "mlp-q"):
-            assert isinstance(legacy[name], ArrayRunner)
+            assert runners[name].plan.kind == name
 
     def test_build_runners_rejects_modelless_object(self):
-        with pytest.raises(ServingError):
+        with pytest.raises(ServingError, match="'bogus'") as info:
             build_runners({"bogus": object()})
+        assert isinstance(info.value.__cause__, CompileError)
 
     def test_snnwt_runner_rejects_unlabeled_network(self, snn_config_small):
-        with pytest.raises(ServingError):
-            SNNwtRunner(SpikingNetwork(snn_config_small))
+        with pytest.raises(ServingError, match="'snnwt'") as info:
+            build_runners({"snnwt": SpikingNetwork(snn_config_small)})
+        assert isinstance(info.value.__cause__, CompileError)
 
 
 class TestBitIdentity:

@@ -16,6 +16,7 @@ import pytest
 from repro.core.errors import IntegrityError, ServingError
 from repro.serve.chaos import chaos_passed, run_chaos
 from repro.serve.engine import BatchPolicy, InferenceServer
+from repro.serve.metrics import render_stats
 from repro.serve.supervisor import SupervisorPolicy
 from repro.serve.workers import ShardedPool
 from tests.serve.test_supervisor import FAST, wait_until
@@ -201,7 +202,11 @@ class TestPoolAuditOracle:
             pool.report_audit_mismatch(0, "mlp")
             stats = pool.integrity_stats()
             assert stats["audit_mismatch_reports"] == 1
-            assert [0, pool.engine] in stats["audit_quarantined_pairs"]
+            assert [0, "mlp"] in stats["audit_quarantined_pairs"]
+            rendered = render_stats(
+                {"model": "mlp", "completed": 0, "integrity": stats}
+            )
+            assert "quarantined (shard:model):  0:mlp" in rendered
             # Escalation scrubbed the (clean) segment and retired the
             # offending shard onto a fresh worker.
             assert stats["scrub_passes"] >= 1

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.errors import ServingError
 from repro.serve.batcher import BatchPolicy
-from repro.serve.engine import ArrayRunner, InferenceServer
+from repro.serve.engine import InferenceServer, ModelRunner
 from repro.serve.loadgen import (
     KNOWN_MODELS,
     build_models,
@@ -26,16 +26,20 @@ from repro.serve.loadgen import (
 from repro.snn.batched import predict_batch
 
 
+class SumRunner(ModelRunner):
+    """A fast deterministic toy model: label = pixel sum % 10."""
+
+    def run(self, indices, images):
+        return np.atleast_2d(images).astype(np.int64).sum(axis=1) % 10
+
+
 @pytest.fixture()
 def toy_server():
     """A fast deterministic server over a 64-image table: label = sum % 10."""
     rng = np.random.default_rng(3)
     images = rng.integers(0, 256, size=(64, 16)).astype(np.uint8)
-    runner = ArrayRunner(
-        lambda rows: rows.astype(np.int64).sum(axis=1) % 10
-    )
     server = InferenceServer(
-        runners={"toy": runner},
+        runners={"toy": SumRunner()},
         policy=BatchPolicy(max_batch=8, max_wait_us=500.0),
         images=images,
     )
@@ -84,12 +88,13 @@ class TestOpenLoop:
         rng = np.random.default_rng(4)
         images = rng.integers(0, 256, size=(16, 8)).astype(np.uint8)
 
-        def slow(rows):
-            time_module.sleep(0.02 * len(np.atleast_2d(rows)))
-            return np.zeros(len(np.atleast_2d(rows)), dtype=np.int64)
+        class SlowRunner(ModelRunner):
+            def run(self, indices, images):
+                time_module.sleep(0.02 * len(indices))
+                return np.zeros(len(indices), dtype=np.int64)
 
         server = InferenceServer(
-            runners={"slow": ArrayRunner(slow)},
+            runners={"slow": SlowRunner()},
             policy=BatchPolicy(max_batch=1, max_wait_us=0.0, max_queue=2),
             images=images,
         )

@@ -2,9 +2,9 @@
 
 The acceptance properties of the serving layer's process backend:
 
-* a model rebuilt in a worker from read-only shared-memory views
+* a plan rebuilt in a worker from read-only shared-memory views
   predicts bit-identically to the parent's own model, for every
-  published family;
+  plan kind;
 * killing a shard mid-service degrades capacity, never correctness —
   in-flight and subsequent requests complete on the survivors;
 * killing *every* shard turns requests into :class:`ServingError`,
@@ -18,68 +18,66 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.errors import ServingError
+from repro.core.errors import CompileError, ServingError
 from repro.mlp.quantized import QuantizedMLP
 from repro.serve.batcher import BatchPolicy
 from repro.serve.engine import InferenceServer
 from repro.serve.shm import SharedArrayBundle
-from repro.serve.workers import ShardedPool, _publish_model, rebuild_model
+from repro.serve.workers import ShardedPool, _publish_plan, _rebuild_plan_runner
 from repro.snn.batched import predict_batch
 from repro.snn.snn_bp import train_snn_bp
 from repro.snn.snn_wot import SNNWithoutTime
 
 
+def _round_trip(name, model, images, warm=False):
+    """publish -> shm -> rebuild one plan, run it on every row."""
+    arrays = {}
+    spec = _publish_plan(
+        name, model, arrays, seed=None, images=images, warm=warm
+    )
+    indices = list(range(len(images)))
+    with SharedArrayBundle.create(arrays) as bundle:
+        runner = _rebuild_plan_runner(name, spec, bundle)
+        shipped = runner.precode(indices, images)
+        return runner.run(indices, images), shipped
+
+
 class TestRebuildFidelity:
-    """publish -> shm -> rebuild is exact for every model family."""
+    """publish -> shm -> rebuild is exact for every plan kind."""
 
     def test_snnwt_round_trip(self, trained_snn, digits_small):
         _, test_set = digits_small
-        arrays = {}
-        spec = _publish_model("snnwt", trained_snn, arrays)
-        with SharedArrayBundle.create(arrays) as bundle:
-            rebuilt = rebuild_model("snnwt", spec, bundle)
-            expected = predict_batch(trained_snn, test_set.images[:20])
-            got = predict_batch(rebuilt, test_set.images[:20])
-            np.testing.assert_array_equal(got, expected)
+        images = np.asarray(test_set.images[:20])
+        got, encoded = _round_trip("snnwt", trained_snn, images, warm=True)
+        # The shipped trains arrived preloaded: nothing left to encode.
+        assert encoded == 0
+        np.testing.assert_array_equal(got, predict_batch(trained_snn, images))
 
     def test_snnwot_round_trip(self, trained_snn, digits_small):
         _, test_set = digits_small
         model = SNNWithoutTime(trained_snn)
-        arrays = {}
-        spec = _publish_model("snnwot", model, arrays)
-        with SharedArrayBundle.create(arrays) as bundle:
-            rebuilt = rebuild_model("snnwot", spec, bundle)
-            np.testing.assert_array_equal(
-                rebuilt.predict(test_set.images), model.predict(test_set.images)
-            )
+        got, _ = _round_trip("snnwot", model, test_set.images)
+        np.testing.assert_array_equal(got, model.predict(test_set.images))
 
     def test_snnbp_round_trip(self, snn_config_small, digits_small):
         train_set, test_set = digits_small
         model = train_snn_bp(snn_config_small, train_set, epochs=2)
-        arrays = {}
-        spec = _publish_model("snnbp", model, arrays)
-        with SharedArrayBundle.create(arrays) as bundle:
-            rebuilt = rebuild_model("snnbp", spec, bundle)
-            np.testing.assert_array_equal(
-                rebuilt.predict(test_set.images), model.predict(test_set.images)
-            )
+        got, _ = _round_trip("snnbp", model, test_set.images)
+        np.testing.assert_array_equal(got, model.predict(test_set.images))
 
     def test_mlp_round_trips(self, trained_mlp, digits_small):
         _, test_set = digits_small
         quantized = QuantizedMLP(trained_mlp)
         for name, model in (("mlp", trained_mlp), ("mlp-q", quantized)):
-            arrays = {}
-            spec = _publish_model(name, model, arrays)
-            with SharedArrayBundle.create(arrays) as bundle:
-                rebuilt = rebuild_model(name, spec, bundle)
-                np.testing.assert_array_equal(
-                    rebuilt.predict_images(test_set.images),
-                    model.predict_images(test_set.images),
-                )
+            got, _ = _round_trip(name, model, test_set.images)
+            np.testing.assert_array_equal(
+                got, model.predict_images(test_set.images)
+            )
 
     def test_unpublishable_model_raises(self):
-        with pytest.raises(ServingError):
-            _publish_model("bogus", object(), {})
+        with pytest.raises(ServingError, match="'bogus'") as info:
+            _publish_plan("bogus", object(), {}, None, None, False)
+        assert isinstance(info.value.__cause__, CompileError)
 
 
 class TestPoolServing:
