@@ -230,8 +230,9 @@ def readout_winners(network, trains: Sequence[Any]) -> np.ndarray:
 
     Runs :func:`scan_winners` when :func:`scan_refusal` clears the
     trains and :func:`~repro.snn.batched.batch_winners` otherwise;
-    both read out the same bits.  The plan executor's LIF step and
-    :meth:`~repro.snn.network.SNNTrainer.label` read winners here.
+    both read out the same bits.  The plan executor's LIF step,
+    :meth:`~repro.snn.network.SNNTrainer.label` and the continual
+    learner's relabel pass read winners here.
     """
     from ...snn.batched import DEFAULT_BATCH_SIZE, batch_winners
 

@@ -7,10 +7,18 @@ per-model-kind golden tests pin to the retained legacy oracles, the
 reference the tiled executor is asserted bitwise-equal to, and the
 oracle the serving audit lane re-executes sampled batches on.
 
-Row blocks stay 2-D on purpose: float64 ``X @ W.T`` rows are bitwise
-independent of the batch they ride in (the dgemm row-independence the
-PR 4 serving oracles already rely on), so per-row results concatenate
-into exactly the batch result.
+Row blocks stay 2-D, so per-row results concatenate into the batch
+result.  The contract is on plan outputs.  It holds by construction
+only where every step is row-independent: the integer GEMVs of mlp-q
+and the per-row LIF readout of snnwt.  Float64 ``X @ W.T`` rows are
+*not* bitwise independent of the batch they ride in — BLAS picks its
+kernel by operand shape, so a row of a 1-row product can differ in the
+last bits from the same row of a larger product.  The float-GEMV
+plans (mlp, snnwot, snnbp) therefore hold different float buffers
+(the MLP's hidden and output layers, the SNN readouts' scores) in the
+whole-batch and the row-at-a-time walks; their labels, an argmax over
+those buffers, are observed equal across batch sizes, not equal by
+construction.
 """
 
 from __future__ import annotations
@@ -24,7 +32,6 @@ from .ops import CompiledPlan
 from .runtime import (
     ExecutionContext,
     execute_instructions,
-    gather_outputs,
     input_block,
     resolve_indices,
 )
@@ -40,9 +47,7 @@ def run_plan_serial(
 
     Returns the plan's output array (or a tuple for multi-output
     programs), identical in shape to :func:`repro.ir.execute.run_plan`'s
-    result, behind the same numeric sentinels.  Plans with no LOAD_V
-    (pure generator programs, e.g. LFSR_FILL property tests) execute
-    once — their dataflow has no batch axis.
+    result, behind the same numeric sentinels.
     """
     return run_guarded(_run_serial, plan, images, indices, ctx)
 
@@ -51,9 +56,6 @@ def _run_serial(plan, images, indices, ctx):
     if ctx is None:
         ctx = ExecutionContext(plan)
     block = input_block(plan, images)
-    if block is None:
-        env = execute_instructions(plan, plan.instructions, None, [], ctx)
-        return gather_outputs(plan, env)
     row_indices = resolve_indices(plan, block, indices)
     per_row = [
         execute_instructions(

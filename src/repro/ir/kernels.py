@@ -12,8 +12,6 @@ quantized datapath are *not* one multiply by the product of the scales.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 
@@ -101,26 +99,3 @@ def counts(
 
 def argmax_rows(x: np.ndarray) -> np.ndarray:
     return np.argmax(x, axis=-1).astype(np.int64)
-
-
-def lfsr_gaussian(
-    seeds: Sequence[int], resolution: int, count: int, vectorized: bool
-) -> np.ndarray:
-    """``count`` CLT-of-LFSR Gaussian samples from a fresh RNG state.
-
-    ``vectorized=False`` runs the scalar :class:`HardwareGaussian`
-    bit-walk (the golden model); ``vectorized=True`` runs the PR 3
-    GF(2)-dilation bulk generator — bit-identical by construction and
-    re-asserted by the IR property tests.
-    """
-    if vectorized:
-        from ..hardware.rng_vec import VectorizedHardwareGaussian
-
-        rng = VectorizedHardwareGaussian(
-            seeds=list(seeds), resolution=resolution
-        )
-    else:
-        from ..hardware.rng_hw import HardwareGaussian
-
-        rng = HardwareGaussian(seeds=list(seeds), resolution=resolution)
-    return rng.samples(int(count))

@@ -2,9 +2,8 @@
 
 All five model kinds (mlp, mlp-q, snnwt, snnwot, snnbp) lower onto the
 same ~10 ops, in the spirit of the paper's observation that one small
-set of hardware primitives — synaptic accumulate, threshold/activation,
-LFSR-driven stochastics — serves both the neuroscience and the
-machine-learning families:
+set of hardware primitives — synaptic accumulate, threshold/activation
+— serves both the neuroscience and the machine-learning families:
 
 ========== =================================================================
 op         semantics (all arrays NumPy; batch axis first where present)
@@ -36,8 +35,6 @@ LIF_STEP   the timed winner-take-all macro-op: encode per-index spike
            spike; ``dst`` holds winner neuron indices ``(B,)``
 THRESH     ``dst = argmax(x, axis=-1)`` — the readout comparator
 TAKE       ``dst = table[idx]`` — map winner indices through a label table
-LFSR_FILL  ``dst`` = ``count`` CLT-of-4-LFSR Gaussian samples (the
-           hardware RNG; params ``seeds``/``resolution``/``count``)
 STORE      mark ``src`` as the plan output named ``dst``
 ========== =================================================================
 
@@ -77,7 +74,6 @@ COUNTS = "COUNTS"
 LIF_STEP = "LIF_STEP"
 THRESH = "THRESH"
 TAKE = "TAKE"
-LFSR_FILL = "LFSR_FILL"
 STORE = "STORE"
 
 #: Every opcode the executors implement, in listing order.
@@ -94,7 +90,6 @@ OPCODES = (
     LIF_STEP,
     THRESH,
     TAKE,
-    LFSR_FILL,
     STORE,
 )
 

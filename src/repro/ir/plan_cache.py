@@ -42,7 +42,7 @@ _lock = threading.Lock()
 #: Single-flight locks: a cold ``get_plan``/``cached_trains`` holds one
 #: of these across its compile/encode so concurrent first callers block
 #: and then take the memo hit, instead of racing N duplicate compiles
-#: (and N spurious miss counts) under the threaded executor.
+#: (and N spurious miss counts) from concurrent serving threads.
 _compile_lock = threading.Lock()
 _trains_flight_lock = threading.Lock()
 _plan_memo: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()

@@ -4,11 +4,11 @@ Both executors run a plan through the one opcode switch in
 :func:`execute_instructions`.  They differ only in *shape discipline*
 — the serial interpreter (the golden model) feeds one ``(1, n)`` row
 block at a time, the tiled executor
-(:mod:`repro.ir.backends.numpy_tiled`) whole row blocks — and in the
-few steps the tiled executor hands to a faster kernel with the same
-bits (the fused pairs, the exact integer GEMV, the LIF scan readout,
-the bulk LFSR).  Every other opcode runs the same code in both, which
-is what makes the bit-identity contract a property of this module
+(:mod:`repro.ir.backends.numpy_tiled`) the whole batch as one block —
+and in the few steps the tiled executor hands to a faster kernel with
+the same bits (fused QUANT+GEMV, the exact integer GEMV, the LIF scan
+readout).  Every other opcode runs the same code in both, which is
+what makes the bit-identity contract a property of this module
 instead of a per-pair test suite.
 """
 
@@ -39,9 +39,8 @@ class ExecutionContext:
         self._network = None
         self._trains: Dict[int, Any] = {}
         # Guards the lazy network build and the train-cache mutation:
-        # the threaded row-block scheduler shares one context across
-        # worker threads (blocks pre-encode on the calling thread, but
-        # the lock keeps direct concurrent use safe too).
+        # a served runner's context is shared by its batcher thread(s)
+        # and by callers that warm or preload its trains.
         self._lock = threading.Lock()
 
     # -- timed-SNN support ----------------------------------------------
@@ -159,7 +158,7 @@ Substitution = Tuple[Callable[..., None], Tuple[Instruction, ...]]
 def execute_instructions(
     plan: CompiledPlan,
     steps: Sequence[Union[Instruction, Substitution]],
-    inputs: Optional[np.ndarray],
+    inputs: np.ndarray,
     indices: Sequence[int],
     ctx: ExecutionContext,
 ) -> Dict[str, np.ndarray]:
@@ -219,13 +218,6 @@ def execute_instructions(
             env[inst.dst] = kernels.argmax_rows(env[inst.srcs[0]])
         elif inst.op == ops.TAKE:
             env[inst.dst] = np.asarray(env[inst.srcs[1]])[env[inst.srcs[0]]]
-        elif inst.op == ops.LFSR_FILL:
-            env[inst.dst] = kernels.lfsr_gaussian(
-                tuple(inst.param("seeds")),
-                int(inst.param("resolution")),
-                int(inst.param("count")),
-                vectorized=False,
-            )
         elif inst.op == ops.STORE:
             env[inst.dst] = env[inst.srcs[0]]
         else:  # pragma: no cover - OPCODES is closed
@@ -235,15 +227,8 @@ def execute_instructions(
 
 def input_block(
     plan: CompiledPlan, images: Optional[np.ndarray]
-) -> Optional[np.ndarray]:
-    """The ``(B, n)`` input batch, or ``None`` for an input-free plan.
-
-    A plan without LOAD_V (a pure generator program, e.g. LFSR_FILL)
-    has no batch axis and runs once; any other plan raises
-    :class:`CompileError` when the batch is missing.
-    """
-    if not any(inst.op == ops.LOAD_V for inst in plan.instructions):
-        return None
+) -> np.ndarray:
+    """The ``(B, n)`` input batch; :class:`CompileError` when missing."""
     if images is None:
         raise CompileError(f"plan {plan.kind!r} expects an input batch")
     return np.atleast_2d(np.asarray(images))

@@ -67,7 +67,7 @@ from ..core.rng import child_rng
 from ..datasets.base import Dataset
 from ..faults.injector import FaultInjector
 from ..faults.models import FaultConfig
-from ..snn.batched import batch_winners, encode_shared, predict_batch
+from ..snn.batched import encode_shared, predict_batch
 from ..snn.network import SpikingNetwork
 from ..snn.training import FusedSTDPEngine
 from .batcher import BatchPolicy
@@ -601,8 +601,10 @@ class ContinualLearner:
         # 2. Relabel from the decayed win-count state.
         label_state = self._label_state.clone()
         if len(train_images):
+            from ..ir.backends.lif_scan import readout_winners  # local: avoids eager import
+
             trains = encode_shared(candidate, train_images, self._label_rng)
-            winners = batch_winners(candidate, trains)
+            winners = readout_winners(candidate, trains)
             label_state.observe([int(w) for w in winners], train_labels)
         candidate.neuron_labels = label_state.labels(
             prior=np.asarray(self.network.neuron_labels)

@@ -7,6 +7,9 @@ included.  The legacy oracles are the one check here that does not
 run through the IR's shared instruction walk.
 """
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -69,6 +72,37 @@ class TestGoldenPerKind:
             np.asarray(subset.images),
             oracle,
             indices=list(range(len(subset))),
+        )
+
+
+class TestOneBlock:
+    """Large batches run as one block on the calling thread."""
+
+    def test_large_batches_start_no_thread(
+        self, monkeypatch, quantized_mlp, trained_snn, digits_small
+    ):
+        _, test_set = digits_small
+        images = np.asarray(test_set.images)
+        assert len(images) >= 64
+        q_plan = compile_model(quantized_mlp)
+        t_plan = compile_model(trained_snn)
+        indices = list(range(len(images)))
+        mlpq_rows = np.concatenate([images, images])[:128]
+        mlpq_serial = run_plan_serial(q_plan, mlpq_rows)
+        snnwt_serial = run_plan_serial(t_plan, images, indices=indices)
+
+        def refuse(thread):
+            raise AssertionError(f"run_plan started thread {thread.name!r}")
+
+        # However many CPUs the process may use, no batch is split.
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(4)), raising=False
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        np.testing.assert_array_equal(run_plan(q_plan, mlpq_rows), mlpq_serial)
+        np.testing.assert_array_equal(
+            run_plan(t_plan, images, indices=indices), snnwt_serial
         )
 
 

@@ -1,10 +1,9 @@
-"""Edge-case tests for the IR kernels and the tile kernels.
+"""Edge-case tests for the IR kernels and the exact GEMV kernels.
 
 The shapes the model suites never exercise: empty batches, single-row
-batches, non-contiguous and Fortran-ordered inputs, tiles larger than
-the matrix, and single-row tiles — plus the exactness boundary of the
-dgemm integer trick (fallback above 2**53) and the first-wins tie-break
-of the fused argmax.
+batches, non-contiguous and Fortran-ordered inputs — plus the
+exactness boundary of the dgemm integer trick (fallback above 2**53)
+and the first-wins tie-break of the readout argmax.
 """
 
 import numpy as np
@@ -53,31 +52,19 @@ class TestKernelEdgeCases:
             kernels.gemv(view, w), kernels.gemv(view.copy(), w)
         )
 
+    def test_argmax_first_wins_tie_break(self):
+        # Columns 1 and 3 tie at the max; the readout picks the first.
+        scores = np.array([[0.0, 5.0, 2.0, 5.0], [5.0, 5.0, 5.0, 5.0]])
+        got = kernels.argmax_rows(scores)
+        assert got.tolist() == [1, 0]
+        assert got.dtype == np.int64
+
     def test_quantize_matches_scalar_reference(self, rng):
         x = rng.standard_normal((4, 4)) * 10
         got = kernels.quantize(x, 0.25, -8, 7)
         ref = np.clip(np.round(x / 0.25), -8, 7).astype(np.int64)
         np.testing.assert_array_equal(got, ref)
         assert got.dtype == np.int64
-
-
-class TestRowBlocks:
-    def test_empty_batch_is_one_empty_block(self):
-        assert tiles.row_blocks(0, 128) == [(0, 0)]
-
-    def test_tile_larger_than_matrix(self):
-        # Budget dwarfs the data: one block spanning every row.
-        assert tiles.row_blocks(10, 64, target_bytes=1 << 20) == [(0, 10)]
-
-    def test_single_row_tiles(self):
-        # Budget below one row still makes progress, one row at a time.
-        blocks = tiles.row_blocks(4, 1024, target_bytes=8)
-        assert blocks == [(0, 1), (1, 2), (2, 3), (3, 4)]
-
-    def test_blocks_partition_the_rows(self):
-        blocks = tiles.row_blocks(100, 100, target_bytes=1000)
-        assert blocks[0][0] == 0 and blocks[-1][1] == 100
-        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
 
 
 class TestExactIntGemm:
@@ -104,35 +91,10 @@ class TestExactIntGemm:
         )
         assert out.shape == (0, 3) and out.dtype == np.int64
 
-
-class TestTiledGemv:
-    def test_int64_tiling_matches_reference(self, int_matrices, monkeypatch):
-        x, w = int_matrices
-        ref = kernels.gemv(x, w, cast="int64")
-        # Shrink the tile budget so the 13 rows split into many blocks.
-        monkeypatch.setattr(tiles, "DEFAULT_TILE_BYTES", 512)
-        got = tiles.tiled_gemv(x, w, cast="int64")
-        assert got.dtype == ref.dtype
-        np.testing.assert_array_equal(got, ref)
-
-    def test_float_path_is_single_call(self, rng):
-        x = rng.standard_normal((6, 8))
-        w = rng.standard_normal((4, 8))
-        np.testing.assert_array_equal(tiles.tiled_gemv(x, w), x @ w.T)
-
-    def test_empty_batch(self):
-        out = tiles.tiled_gemv(
-            np.empty((0, 8), dtype=np.int64),
-            np.ones((4, 8), dtype=np.int64),
-            cast="int64",
-        )
-        assert out.shape == (0, 4)
-
     def test_fortran_order_input(self, int_matrices):
         x, w = int_matrices
-        xf = np.asfortranarray(x)
         np.testing.assert_array_equal(
-            tiles.tiled_gemv(xf, w, cast="int64"),
+            tiles.exact_int_gemm(np.asfortranarray(x), w),
             kernels.gemv(x, w, cast="int64"),
         )
 
@@ -162,37 +124,3 @@ class TestFusedQuantGemv:
             np.empty((0, 4)), 0.1, -8, 7, np.ones((3, 4))
         )
         assert acc.shape == (0, 3)
-
-
-class TestFusedGemvThresh:
-    def test_single_tile_matches_argmax(self, rng):
-        x = rng.standard_normal((9, 12))
-        w = rng.standard_normal((6, 12))
-        ref = kernels.argmax_rows(kernels.gemv(x, w))
-        np.testing.assert_array_equal(tiles.fused_gemv_thresh(x, w), ref)
-
-    def test_multi_tile_matches_argmax_exactly(self, rng):
-        # Integer-valued operands keep every score exactly representable,
-        # so the tiled running max must match np.argmax bit-for-bit.
-        x = rng.integers(0, 8, size=(17, 10)).astype(np.float64)
-        w = rng.integers(-4, 5, size=(23, 10)).astype(np.float64)
-        ref = kernels.argmax_rows(kernels.gemv(x, w))
-        for col_tile in (1, 3, 7, 23, 100):
-            np.testing.assert_array_equal(
-                tiles.fused_gemv_thresh(x, w, col_tile=col_tile), ref
-            )
-
-    def test_first_wins_tie_break(self):
-        # Columns 1 and 3 tie at the max; np.argmax picks the first.
-        x = np.ones((2, 1))
-        w = np.array([[0.0], [5.0], [2.0], [5.0]])
-        ref = kernels.argmax_rows(kernels.gemv(x, w))
-        assert ref.tolist() == [1, 1]
-        for col_tile in (1, 2, 100):
-            np.testing.assert_array_equal(
-                tiles.fused_gemv_thresh(x, w, col_tile=col_tile), ref
-            )
-
-    def test_empty_batch(self):
-        out = tiles.fused_gemv_thresh(np.empty((0, 4)), np.ones((3, 4)))
-        assert out.shape == (0,) and out.dtype == np.int64

@@ -1,5 +1,7 @@
 """Plan memo, train bundles, and the content-addressed encode cache."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,65 @@ class TestPlanMemo:
             get_plan(model, kind="snnwt")
         model.fault_injector = None
         assert get_plan(model, kind="snnwt").kind == "snnwt"
+
+
+class TestPlanCacheSingleFlight:
+    def test_concurrent_cold_calls_compile_once(self, trained_mlp):
+        n_threads = 8
+        barrier = threading.Barrier(n_threads)
+        plans = [None] * n_threads
+        errors = []
+
+        def worker(slot):
+            try:
+                barrier.wait()
+                plans[slot] = get_plan(trained_mlp)
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(slot,))
+            for slot in range(n_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        assert all(plan is plans[0] for plan in plans)
+        stats = plan_cache_stats()
+        assert stats["plan_compiles"] == 1
+        assert stats["plan_misses"] == 1
+        assert stats["plan_hits"] == n_threads - 1
+
+    def test_concurrent_cached_trains_encode_once(self, trained_snn):
+        plan = get_plan(trained_snn)
+        images = np.zeros((4, 784))
+        n_threads = 6
+        barrier = threading.Barrier(n_threads)
+        results = [None] * n_threads
+        errors = []
+
+        def worker(slot):
+            try:
+                barrier.wait()
+                results[slot] = cached_trains(plan, images, persist=False)
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(slot,))
+            for slot in range(n_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        assert all(result is results[0] for result in results)
+        stats = plan_cache_stats()
+        assert stats["trains_misses"] == 1
+        assert stats["trains_hits"] == n_threads - 1
 
 
 class TestTrainBundles:

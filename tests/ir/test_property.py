@@ -4,16 +4,11 @@ The bit-identity contract is a property of the shared instruction walk,
 not of any particular lowering — so these tests build *random* plans
 from the deterministic op subset and assert the serial interpreter and
 the plan executor agree bitwise, dtypes included, on every one.
-LFSR_FILL gets its own input-free programs (the generator op has no
-batch axis): the serial walk runs the scalar ``HardwareGaussian``
-bit-walk, the tiled walk the ``rng_vec`` bulk generator, and both must
-match.
 """
 
 import numpy as np
 import pytest
 
-from repro.hardware.rng_hw import HardwareGaussian
 from repro.ir import run_plan, run_plan_serial
 from repro.ir import ops
 from repro.ir.compile import _Builder
@@ -75,20 +70,6 @@ def _random_program(seed):
     return b.finish(), batch.astype(np.float64)
 
 
-def _lfsr_program(seeds, resolution, count):
-    """Input-free generator program: LFSR_FILL then STORE."""
-    b = _Builder("mlp")
-    g = b.buffer("g", "temp")
-    b.emit(
-        ops.LFSR_FILL, g, (),
-        seeds=tuple(int(s) for s in seeds),
-        resolution=int(resolution),
-        count=int(count),
-    )
-    b.store("samples", g, dtype="float64")
-    return b.finish(outputs=("samples",))
-
-
 class TestRandomPrograms:
     @pytest.mark.parametrize("seed", range(N_RANDOM_PROGRAMS))
     def test_serial_equals_vectorized(self, seed):
@@ -109,23 +90,3 @@ class TestRandomPrograms:
                 ]
             )
             np.testing.assert_array_equal(chunked, full)
-
-
-class TestLfsrFill:
-    SEEDS = (11, 313, 5179, 40503)
-
-    @pytest.mark.parametrize("resolution,count", [(8, 257), (12, 64)])
-    def test_serial_equals_vectorized(self, resolution, count):
-        plan = _lfsr_program(self.SEEDS, resolution, count)
-        serial = run_plan_serial(plan)
-        vectorized = run_plan(plan)
-        assert serial.shape == (count,)
-        assert serial.dtype == vectorized.dtype
-        np.testing.assert_array_equal(serial, vectorized)
-
-    def test_serial_is_the_hardware_bit_walk(self):
-        plan = _lfsr_program(self.SEEDS, 8, 100)
-        oracle = HardwareGaussian(
-            seeds=list(self.SEEDS), resolution=8
-        ).samples(100)
-        np.testing.assert_array_equal(run_plan_serial(plan), oracle)

@@ -319,6 +319,40 @@ class TestContinualLearner:
         finally:
             server.close()
 
+    def test_relabel_reads_winners_on_the_lif_scan(
+        self, trained_snn, digits_small, monkeypatch
+    ):
+        """The window's relabel pass reads winners through
+        ``readout_winners``, so a clean candidate takes the scan."""
+        from repro.ir.backends import lif_scan
+
+        train_set, test_set = digits_small
+        calls = []
+        scan = lif_scan.scan_winners
+
+        def counting_scan(network, trains, *args, **kwargs):
+            calls.append(len(trains))
+            return scan(network, trains, *args, **kwargs)
+
+        server = _make_server(trained_snn, test_set.images)
+        try:
+            learner = ContinualLearner(
+                server,
+                "live",
+                trained_snn,
+                LabeledStream(train_set, window_size=16, seed=0),
+                test_set.take(8),
+                seed=0,
+                shadow_fraction=0.25,
+            )
+            monkeypatch.setattr(lif_scan, "scan_winners", counting_scan)
+            learner.run_window()
+        finally:
+            server.close()
+        # One call over the 12 training rows; nothing else in the
+        # window reads the scan.
+        assert calls == [12]
+
     def test_poisoned_update_rolls_back_bit_exactly(
         self, trained_snn, digits_small, tmp_path
     ):
