@@ -20,9 +20,11 @@ corruption and therefore identical accuracies.  Rate 0.0 runs the
 the first row of the sweep equals the clean accuracy exactly.
 
 Run it via ``python -m repro report fault-sweep`` (optionally under
-``--retries/--timeout/--checkpoint-dir``; the trained models are
+``--retries/--timeout/--checkpoint-dir``).  Both models train through
+the shared recipes of :mod:`repro.analysis.common`, so the model cache
+serves them to every later run; the trained models are also
 checkpointed through :class:`repro.core.serialization.CheckpointStore`
-when one is provided, so retries and re-runs skip retraining).
+when one is provided, so retries skip retraining even without a cache.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ from ..datasets.digits import load_digits
 from ..faults import FaultConfig, FaultInjector, corrupt_spiking_network
 from ..mlp.network import MLP
 from ..mlp.quantized import QuantizedMLP
-from ..mlp.trainer import BackPropTrainer
 from ..snn.network import SNNTrainer, SpikingNetwork
 from ..snn.snn_wot import SNNWithoutTime, relabel_for_counts
+from .common import train_mlp_model, train_snn_model
 
 #: Default swept SRAM bit-error rates (per stored weight bit).
 DEFAULT_RATES = (0.0, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05)
@@ -125,14 +127,10 @@ def fault_sweep(
     )
 
     def train_mlp() -> MLP:
-        network = MLP(mlp_config)
-        BackPropTrainer(network, batch_size=16).train(train_set, epochs=mlp_epochs)
-        return network
+        return train_mlp_model(mlp_config, train_set, epochs=mlp_epochs)
 
     def train_snn() -> SpikingNetwork:
-        network = SpikingNetwork(snn_config)
-        SNNTrainer(network).fit(train_set, epochs=snn_epochs)
-        return network
+        return train_snn_model(snn_config, train_set, epochs=snn_epochs)
 
     tag = f"s{scale:g}-seed{seed}"
     if checkpoint is not None:

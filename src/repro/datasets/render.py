@@ -10,6 +10,7 @@ numpy; no imaging libraries are used.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -85,26 +86,50 @@ def _segment_distances(grid: np.ndarray, segments: np.ndarray) -> np.ndarray:
 
     grid: (P, 2) pixel-center coordinates; segments: (S, 4) endpoint
     pairs.  Returns (P,) distances.
+
+    The point ``p``'s nearest point on segment ``a -> b`` is ``a + t d``
+    with ``d = b - a`` and ``t = clip(<p - a, d> / max(|d|^2, 1e-12),
+    0, 1)``.  Each coordinate is a (P, S) array, and every value is
+    rounded exactly as the ``(P, S, 2)`` einsum / ``linalg.norm`` form
+    rounds it, so the distances are bitwise that form's:
+
+    * a two-term dot product is ``x0*y0 + x1*y1``, each product rounded
+      and then summed in that order.  einsum adds the products to a
+      zero start, which changes at most the sign of a zero ``t``; that
+      sign reaches the distance only through ``+-0 * d`` and ``e*e``
+      of an exact zero ``e``, which round both signs alike;
+    * ``linalg.norm`` along the last axis is ``sqrt(e0*e0 + e1*e1)``.
     """
-    starts = segments[:, :2]  # (S, 2)
-    ends = segments[:, 2:]  # (S, 2)
-    direction = ends - starts  # (S, 2)
-    length_sq = np.einsum("ij,ij->i", direction, direction)  # (S,)
-    length_sq = np.maximum(length_sq, 1e-12)
-    # (P, S, 2) displacement of each point from each segment start.
-    delta = grid[:, None, :] - starts[None, :, :]
-    t = np.einsum("psi,si->ps", delta, direction) / length_sq[None, :]
-    t = np.clip(t, 0.0, 1.0)
-    nearest = starts[None, :, :] + t[:, :, None] * direction[None, :, :]
-    dist = np.linalg.norm(grid[:, None, :] - nearest, axis=2)
-    return dist.min(axis=1)
+    gx = grid[:, :1]
+    gy = grid[:, 1:]
+    sx, sy, ex, ey = segments.T
+    dx = ex - sx
+    dy = ey - sy
+    length_sq = np.maximum(dx * dx + dy * dy, 1e-12)
+    t = (gx - sx) * dx
+    t += (gy - sy) * dy
+    t /= length_sq
+    np.clip(t, 0.0, 1.0, out=t)
+    # Offsets of each point from its nearest point on each segment.
+    off_x = gx - (sx + t * dx)
+    off_y = gy - (sy + t * dy)
+    off_x *= off_x
+    off_y *= off_y
+    off_x += off_y
+    return np.sqrt(off_x, out=off_x).min(axis=1)
 
 
+@lru_cache(maxsize=8)
 def pixel_grid(side: int) -> np.ndarray:
-    """(side*side, 2) pixel-center coordinates in the unit square."""
+    """(side*side, 2) pixel-center coordinates in the unit square.
+
+    Built once per side; every caller shares the one read-only array.
+    """
     coords = (np.arange(side) + 0.5) / side
     ys, xs = np.meshgrid(coords, coords, indexing="ij")
-    return np.stack([xs.ravel(), ys.ravel()], axis=1)
+    grid = np.stack([xs.ravel(), ys.ravel()], axis=1)
+    grid.flags.writeable = False
+    return grid
 
 
 def rasterize_strokes(

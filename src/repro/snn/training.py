@@ -72,6 +72,13 @@ no sign preconditions.  The fallback loop's upper bound does: whenever
 one fails there (negative weights from a custom STDP floor, negative
 decoder modulation, non-positive thresholds) the engine falls back to
 the serial oracle for that presentation — slower, never wrong.
+
+``lfilter`` is imported by the first :func:`_filter_kernels` call, at
+the first learning presentation, not when this module loads.
+``import repro`` reaches this module through :mod:`repro.snn`, and
+``scipy.signal`` (which pulls in ``scipy.stats``) takes about a second
+to import, so a process that trains no SNN (serving, the CLI, a report
+whose models all come from the cache) never loads it.
 """
 
 from __future__ import annotations
@@ -79,11 +86,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 import numpy as np
-
-try:  # SciPy is optional; the engine degrades to a gated Python scan.
-    from scipy.signal import lfilter as _lfilter
-except ImportError:  # pragma: no cover - exercised on SciPy-free installs
-    _lfilter = None
 
 from ..core.rng import SeedLike, make_rng
 from . import batched
@@ -102,8 +104,24 @@ TRAIN_CHUNK = 64
 STEP_CHUNK = 64
 
 
+#: Marks :data:`_lfilter` as not yet looked up.
+_UNLOADED = object()
+
+#: ``scipy.signal.lfilter`` once the first :func:`_filter_kernels` call
+#: has imported it; ``None`` without SciPy (tests set ``None`` to select
+#: the gated loop).
+_lfilter = _UNLOADED
+
+
 def _filter_kernels():
     """``(lfilter, csr_matvecs)`` when SciPy provides both, else ``None``."""
+    global _lfilter
+    if _lfilter is _UNLOADED:
+        try:  # SciPy is optional; the engine degrades to a gated Python scan.
+            from scipy.signal import lfilter
+        except ImportError:  # pragma: no cover - exercised on SciPy-free installs
+            lfilter = None
+        _lfilter = lfilter
     if _lfilter is None:
         return None
     csr_matvecs = batched.csr_matvecs_kernel()

@@ -6,6 +6,8 @@ import pytest
 from repro.analysis.fault_sweep import DEFAULT_RATES, fault_sweep
 from repro.core.errors import ExperimentError
 from repro.core.serialization import CheckpointStore
+from repro.mlp.trainer import BackPropTrainer
+from repro.snn.network import SNNTrainer
 
 #: Cheap sweep configuration shared by the tests below.
 CHEAP = dict(
@@ -103,6 +105,41 @@ class TestSweepCheckpointing:
         } == stamps
         # Checkpointed or not, the sweep yields the same curve.
         assert first.rows == sweep_result.rows
+
+
+class TestSweepModelCache:
+    def test_warm_sweep_trains_nothing(self, tmp_path, monkeypatch, sweep_result):
+        """Both models come from the model cache the first run filled."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        first = fault_sweep(**CHEAP)
+
+        def must_not_train(*args, **kwargs):
+            raise AssertionError("a warm fault sweep trained a model")
+
+        monkeypatch.setattr(BackPropTrainer, "train", must_not_train)
+        monkeypatch.setattr(SNNTrainer, "fit", must_not_train)
+        warm = fault_sweep(**CHEAP)
+        assert warm.rows == first.rows == sweep_result.rows
+
+    def test_uncached_sweep_trains_both_models(self, monkeypatch, sweep_result):
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        trained = []
+        real_train = BackPropTrainer.train
+        real_fit = SNNTrainer.fit
+
+        def counting_train(self, *args, **kwargs):
+            trained.append("mlp")
+            return real_train(self, *args, **kwargs)
+
+        def counting_fit(self, *args, **kwargs):
+            trained.append("snn")
+            return real_fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(BackPropTrainer, "train", counting_train)
+        monkeypatch.setattr(SNNTrainer, "fit", counting_fit)
+        assert fault_sweep(**CHEAP).rows == sweep_result.rows
+        assert sorted(trained) == ["mlp", "snn"]
 
 
 class TestRegistryIntegration:

@@ -130,3 +130,38 @@ class TestSpoken:
     def test_classes_still_learnable(self):
         train, test = load_spoken(n_train=300, n_test=100)
         assert nearest_mean_accuracy(train, test) > 0.3
+
+
+class TestPinnedBytes:
+    """SHA-256 of (train images, train labels, test images, test labels),
+    recorded before the rasterizer was rewritten: a change to any
+    rendering expression that moves one rounding moves a digest."""
+
+    PINNED = {
+        ("digits", 80, 40, None): "7e15a796ad6e70d31188811b7b8ee22c3ccc1c37f1aedfebfcc7c21fc00adf84",
+        ("digits", 80, 40, 5): "3dc600e84cd9283906474f267bef0addffa33ea0fa12f7f6de1ad24e3be3d326",
+        ("digits", 300, 75, None): "ac2084c1ca25e30744e9a3d11f79fb173b6786a031c0913b093602d3300e0904",
+        ("digits", 300, 75, 5): "99d92370a351fd11c6b7c219d67e9fcafb7377ddbe863c893a71b944a6e6cf26",
+        ("shapes", 80, 40, None): "222c1760f8c6959736177b1371823fe2ab3beb1b93bfeb9b2d2a525bf229349a",
+        ("shapes", 80, 40, 5): "6552bd43da6c1cc2ea26d6db9304e9f0ba0b48816b3189b1f027b1d5d6d819c8",
+        ("shapes", 300, 75, None): "5c5b8d18961f1ef5bde739aa9b493c4eeefd11ff64a367e853f62788b0ca90c8",
+        ("shapes", 300, 75, 5): "ca246637ccf9f11fb01b49eb6112e233195223d07f808a583a675642b5cbeb66",
+        ("spoken", 80, 40, None): "551730178e28f0c235d63bbc66effeb7a8e91aad24566036a53c07493c173c3b",
+        ("spoken", 80, 40, 5): "60ff6d8fb230c24268b8adde6aaf595710ce05de22f96f18187ae4c2ace5a2c3",
+        ("spoken", 300, 75, None): "76652d59159f9e4ef9526553d99320bca6bcdb8dcb23e9aef377b0d2b80f53f2",
+        ("spoken", 300, 75, 5): "ba3683b45549e012803a21e9ecb94536c1cac16ea028302ed7c90af9fcd6ccfa",
+    }
+
+    LOADERS = {"digits": load_digits, "shapes": load_shapes, "spoken": load_spoken}
+
+    @pytest.mark.parametrize(
+        "name,n_train,n_test,seed", sorted(PINNED, key=str), ids=str
+    )
+    def test_bytes_pinned(self, name, n_train, n_test, seed):
+        import hashlib
+
+        digest = hashlib.sha256()
+        for dataset in self.LOADERS[name](n_train=n_train, n_test=n_test, seed=seed):
+            digest.update(np.ascontiguousarray(dataset.images).tobytes())
+            digest.update(np.ascontiguousarray(dataset.labels).tobytes())
+        assert digest.hexdigest() == self.PINNED[(name, n_train, n_test, seed)]

@@ -458,3 +458,62 @@ class TestCacheKeyStability:
             {"epochs": 40, "batch_size": 16, "recipe": "bp-v1"},
         )
         assert key == self.PINNED_MLP_KEY
+
+
+# ----------------------------------------------------------------------
+# Lazy filter import (only a process that trains loads scipy.signal)
+# ----------------------------------------------------------------------
+
+
+class TestLazyFilterImport:
+    @pytest.mark.parametrize(
+        "module",
+        ["repro", "repro.cli", "repro.serve.workers", "repro.analysis.report"],
+    )
+    def test_import_loads_no_scipy_signal(self, module):
+        """A fresh interpreter importing ``module`` loads neither
+        ``scipy.signal`` nor the ``scipy.stats`` it pulls in."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            path for path in (src, env.get("PYTHONPATH")) if path
+        )
+        probe = (
+            f"import sys, {module}; "
+            "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.strip() == "[]"
+
+    def test_fit_loads_and_runs_the_filter(self, tiny_digits, monkeypatch):
+        """The first learning presentation imports ``lfilter`` and the
+        trainer scans with it."""
+        scipy_signal = pytest.importorskip("scipy.signal")
+        import repro.snn.training as training_mod
+
+        monkeypatch.setattr(training_mod, "_lfilter", training_mod._UNLOADED)
+        calls = []
+        real_scan = FusedSTDPEngine._filter_scan
+
+        def counting_scan(self, *args, **kwargs):
+            calls.append(1)
+            return real_scan(self, *args, **kwargs)
+
+        monkeypatch.setattr(FusedSTDPEngine, "_filter_scan", counting_scan)
+        train_set = tiny_digits[0]
+        SNNTrainer(_build(_config(train_set))).fit(train_set)
+        assert calls
+        assert training_mod._filter_kernels() is not None
+        assert training_mod._lfilter is scipy_signal.lfilter
