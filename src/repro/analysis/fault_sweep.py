@@ -20,11 +20,10 @@ corruption and therefore identical accuracies.  Rate 0.0 runs the
 the first row of the sweep equals the clean accuracy exactly.
 
 Run it via ``python -m repro report fault-sweep`` (optionally under
-``--retries/--timeout/--checkpoint-dir``).  Both models train through
+``--retries/--timeout/--degrade-scales``).  Both models train through
 the shared recipes of :mod:`repro.analysis.common`, so the model cache
-serves them to every later run; the trained models are also
-checkpointed through :class:`repro.core.serialization.CheckpointStore`
-when one is provided, so retries skip retraining even without a cache.
+serves them to every later run — a re-run at the same scale and seed
+trains nothing.
 """
 
 from __future__ import annotations
@@ -40,9 +39,8 @@ from ..core.metrics import accuracy
 from ..core.registry import register
 from ..datasets.digits import load_digits
 from ..faults import FaultConfig, FaultInjector, corrupt_spiking_network
-from ..mlp.network import MLP
 from ..mlp.quantized import QuantizedMLP
-from ..snn.network import SNNTrainer, SpikingNetwork
+from ..snn.network import SNNTrainer
 from ..snn.snn_wot import SNNWithoutTime, relabel_for_counts
 from .common import train_mlp_model, train_snn_model
 
@@ -87,7 +85,6 @@ def fault_sweep(
     rates: Optional[Iterable[float]] = None,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
-    checkpoint=None,
     mlp_epochs: int = 120,
     snn_epochs: int = 2,
 ) -> ExperimentResult:
@@ -99,10 +96,6 @@ def fault_sweep(
         rates: swept bit-error rates (default :data:`DEFAULT_RATES`).
         trials: independent corruption draws averaged per rate.
         seed: experiment seed (datasets, training, fault streams).
-        checkpoint: optional
-            :class:`~repro.core.serialization.CheckpointStore`; when
-            given, the trained MLP/SNN are checkpointed and re-runs
-            (or retries after a crash) skip retraining.
         mlp_epochs / snn_epochs: training lengths of the two models.
     """
     if not 0.0 < scale <= 1.0:
@@ -126,19 +119,8 @@ def fault_sweep(
         .validate()
     )
 
-    def train_mlp() -> MLP:
-        return train_mlp_model(mlp_config, train_set, epochs=mlp_epochs)
-
-    def train_snn() -> SpikingNetwork:
-        return train_snn_model(snn_config, train_set, epochs=snn_epochs)
-
-    tag = f"s{scale:g}-seed{seed}"
-    if checkpoint is not None:
-        mlp = checkpoint.load_or_train(f"fault-sweep-mlp-{tag}", train_mlp)
-        snn = checkpoint.load_or_train(f"fault-sweep-snn-{tag}", train_snn)
-    else:
-        mlp = train_mlp()
-        snn = train_snn()
+    mlp = train_mlp_model(mlp_config, train_set, epochs=mlp_epochs)
+    snn = train_snn_model(snn_config, train_set, epochs=snn_epochs)
 
     labels = np.asarray(test_set.labels)
 

@@ -84,8 +84,8 @@ def run_and_render(
     """Run one registered experiment and render it.
 
     With a :class:`RunPolicy`, the experiment runs under the
-    :class:`ResilientRunner` (timeouts, retries, checkpointing,
-    graceful degradation) instead of a bare call.
+    :class:`ResilientRunner` (timeouts, retries, graceful degradation)
+    instead of a bare call.
     """
     spec = registry.get(experiment_id)
     if policy is None:

@@ -93,7 +93,6 @@ def _policy_from_args(args: argparse.Namespace):
     if (
         args.retries == 0
         and args.timeout is None
-        and args.checkpoint_dir is None
         and args.backoff == 0.0
         and not degrade
     ):
@@ -103,7 +102,6 @@ def _policy_from_args(args: argparse.Namespace):
         timeout_seconds=args.timeout,
         backoff_seconds=args.backoff,
         degrade_scales=degrade,
-        checkpoint_dir=args.checkpoint_dir,
     ).validate()
 
 
@@ -761,12 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         metavar="SECONDS",
         help="initial retry backoff (doubles per retry)",
-    )
-    report.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help="directory for trained-model checkpoints (resume skips retraining)",
     )
     report.add_argument(
         "--degrade-scales",

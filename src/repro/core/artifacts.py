@@ -1,4 +1,4 @@
-"""Content-addressed cache of trained models.
+"""Content-addressed cache of trained models — and the one on-disk store.
 
 About ten registered experiments retrain the *same* scaled-down
 MLP / SNN on the *same* synthetic dataset — the dominant cost of a
@@ -12,22 +12,26 @@ version).  This module memoizes that function on disk:
   parameters, and a code-version salt (bump
   :data:`CODE_VERSION` whenever a change alters what training
   produces; stale entries then miss instead of poisoning results).
-* **Value**: the PR-1 NPZ serialization
-  (:mod:`repro.core.serialization`), written atomically
-  (tmp file + ``os.replace``) so a crashed writer can never leave a
-  half-written entry under a valid key.
+* **Value**: the NPZ serialization of :mod:`repro.core.serialization`.
 * **Scope**: keyed by content, not by call site — the cache is shared
   across experiments, across ``--jobs N`` worker processes and across
   repeated ``report`` invocations.
 
+Everything else kept on disk — sweep shards and encoded spike trains
+(``sweeps/``), the serving pool's pristine snapshots (``serving/``)
+and the live learner's epoch snapshots (``live-snapshots/``) — lives
+under the same cache root and goes through the same
+:class:`ArtifactStore` protocol: an atomic write with a SHA-256
+sidecar, a verified read (:func:`load_verified`) and one size bound.
+
 Controls: ``REPRO_CACHE_DIR`` (or the ``--cache-dir`` CLI flag) moves
-the store; ``REPRO_NO_CACHE=1`` (or ``--no-cache``) bypasses it
+the root; ``REPRO_NO_CACHE=1`` (or ``--no-cache``) bypasses it
 entirely; ``REPRO_CACHE_MAX_BYTES`` (or ``ModelCache(max_bytes=...)``)
-bounds the on-disk footprint with least-recently-used eviction — the
-continual-learning service versions every promoted snapshot through
-this cache, so an unbounded store would grow forever.  A corrupt or
-unreadable entry is treated as a miss: the model is retrained and the
-entry overwritten.
+bounds the bytes of every entry under the root with
+least-recently-used eviction — hot swaps and live learning write a
+new snapshot per promotion, so an unbounded tree would grow forever.
+A corrupt or unreadable entry is treated as a miss: the value is
+recomputed and the entry overwritten.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ import json
 import os
 import pathlib
 import tempfile
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -227,19 +231,201 @@ def verify_digest_sidecar(path: os.PathLike) -> Optional[bool]:
     return bool(expected) and file_digest(path) == expected
 
 
-class ModelCache:
+def _evict(path: pathlib.Path) -> None:
+    """Remove an entry and its sidecar (best effort)."""
+    for victim in (path, digest_sidecar(path)):
+        try:
+            victim.unlink()
+        except OSError:  # pragma: no cover - already gone / read-only
+            pass
+
+
+def load_verified(path: pathlib.Path, stats: CacheStats, load_fn: Callable):
+    """The one verified read of a cache entry.
+
+    Checks the integrity sidecar (a failed check evicts the entry
+    *before* deserializing it), loads through ``load_fn``, counts the
+    hit and refreshes LRU recency.  Returns the loaded value, or
+    ``None`` when the caller must recompute — cache-shaped failures
+    (corruption, truncation, missing members) are recorded in
+    ``stats``, never raised.
+    """
+    verdict = verify_digest_sidecar(path)
+    if verdict is False:
+        # Bit rot / tampering caught by the integrity sidecar: evict
+        # the entry *before* deserializing it so the caller recomputes
+        # and overwrites with a fresh (re-digested) entry.
+        stats.corrupt_evictions += 1
+        _evict(path)
+        return None
+    try:
+        value = load_fn(path)
+    except (ReproError, OSError, ValueError, KeyError):
+        # Corrupt / truncated / stale entry: recompute + overwrite.
+        stats.errors += 1
+        return None
+    stats.hits += 1
+    try:
+        os.utime(path)  # the LRU recency signal
+    except OSError:  # pragma: no cover - read-only cache dir
+        pass
+    return value
+
+
+#: Suffix of in-flight writes; never an entry, so never counted,
+#: evicted or audited while another writer may still replace it.
+_TMP_SUFFIX = ".tmp.npz"
+
+
+def _tree_entries(root: pathlib.Path) -> List[pathlib.Path]:
+    """Every ``*.npz`` entry anywhere under ``root``, sorted by path."""
+    return sorted(
+        path for path in root.rglob("*.npz") if not path.name.endswith(_TMP_SUFFIX)
+    )
+
+
+class ArtifactStore:
+    """The on-disk protocol every cache in this module follows.
+
+    A store keeps ``<key>.npz`` entries in :attr:`directory` (the
+    class's ``SUBDIR`` of :attr:`root`), each with a ``<entry>.sha256``
+    integrity sidecar:
+
+    * **write** (:meth:`write`): tmp file, ``os.replace`` onto the key,
+      then the sidecar — a crashed writer never leaves a half-written
+      entry under a valid key;
+    * **read** (:meth:`read`): :func:`load_verified` — a failed sidecar
+      evicts before deserializing, a corrupt entry reads as a miss, a
+      legacy entry without a sidecar still loads;
+    * **bound**: after every write, least-recently-used entries
+      anywhere under :attr:`root` — every subdirectory, whichever
+      store wrote them — are evicted until the tree's entries plus
+      sidecars fit :attr:`max_bytes` (default
+      :func:`cache_max_bytes`); the entry just written is shielded.
+      Recency is the entry file's mtime, which a hit refreshes —
+      coarse, but it survives process restarts without an index file.
+    """
+
+    SUBDIR = ""
+
+    def __init__(self, directory: Optional[os.PathLike] = None):
+        self.root = (
+            pathlib.Path(directory) if directory is not None else cache_directory()
+        )
+        self.directory = self.root / self.SUBDIR
+        self.max_bytes = cache_max_bytes()
+        self.stats = CacheStats()
+
+    def path_for(self, key: str) -> pathlib.Path:
+        return self.directory / f"{key}.npz"
+
+    def read(self, key: str, load_fn: Callable[[os.PathLike], Any]):
+        """Verified load of ``key``; ``None`` when missing or corrupt."""
+        path = self.path_for(key)
+        if not path.exists():
+            return None
+        return load_verified(path, self.stats, load_fn)
+
+    def write(
+        self, key: str, value: Any, save_fn: Callable[[Any, os.PathLike], Any]
+    ) -> None:
+        """Atomically store ``value`` under ``key``, then enforce the bound.
+
+        ``save_fn(value, path)`` serializes to ``path`` and returns the
+        path it wrote.  An unwritable cache directory is not an error:
+        the caller already holds the value.
+        """
+        path = self.path_for(key)
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            handle, tmp_name = tempfile.mkstemp(
+                dir=self.directory, suffix=_TMP_SUFFIX
+            )
+            os.close(handle)
+            try:
+                os.replace(save_fn(value, tmp_name), path)
+                write_digest_sidecar(path)
+            finally:
+                if os.path.exists(tmp_name):
+                    os.unlink(tmp_name)
+            self.stats.stores += 1
+        except OSError:
+            pass  # read-only cache dir: the value was still produced
+        self._enforce_capacity(keep=path)
+
+    def get_or_make(
+        self,
+        key: str,
+        make: Callable[[], Any],
+        load_fn: Callable[[os.PathLike], Any],
+        save_fn: Callable[[Any, os.PathLike], Any],
+    ):
+        """Load ``key``, or run ``make`` and store its result."""
+        value = self.read(key, load_fn)
+        if value is None:
+            self.stats.misses += 1
+            value = make()
+            self.write(key, value, save_fn)
+        return value
+
+    @staticmethod
+    def _entry_size(path: pathlib.Path) -> Optional[int]:
+        """Bytes of an entry plus its sidecar (None when it vanished)."""
+        try:
+            size = path.stat().st_size
+        except OSError:
+            return None
+        try:
+            size += digest_sidecar(path).stat().st_size
+        except OSError:
+            pass
+        return size
+
+    def _enforce_capacity(self, keep: Optional[pathlib.Path] = None) -> None:
+        """Evict least-recently-used entries until the tree fits.
+
+        ``keep`` shields the entry just written — evicting it would
+        turn the store into a cache that forgets what it was told one
+        call ago.
+        """
+        if self.max_bytes is None:
+            return
+        entries = []
+        for path in _tree_entries(self.root):
+            size = self._entry_size(path)
+            try:
+                mtime = path.stat().st_mtime
+            except OSError:
+                continue  # evicted by a concurrent writer
+            if size is not None:
+                entries.append((mtime, str(path), path, size))
+        total = sum(size for _, _, _, size in entries)
+        for _, _, path, size in sorted(entries):
+            if total <= self.max_bytes:
+                break
+            if path == keep:
+                continue
+            _evict(path)
+            self.stats.capacity_evictions += 1
+            total -= size
+
+    def clear(self) -> int:
+        """Remove this store's entries (and sidecars); returns entries deleted."""
+        removed = 0
+        for path in self.directory.glob("*.npz"):
+            _evict(path)
+            removed += 1
+        return removed
+
+
+class ModelCache(ArtifactStore):
     """Content-addressed on-disk store of trained models.
 
     ``get_or_train(kind, config, dataset, train_fn, ...)`` returns the
     cached model when a valid entry exists, otherwise runs ``train_fn``
-    and stores its result.  Writes are atomic; corrupt entries fall
-    back to retraining and are overwritten.
-
-    ``max_bytes`` (default: :func:`cache_max_bytes`) bounds the total
-    on-disk size of entries plus sidecars; after every store the
-    least-recently-used entries are evicted until the store fits.
-    Recency is the entry file's mtime, which a cache hit refreshes —
-    coarse, but it survives process restarts without an index file.
+    and stores its result (:class:`ArtifactStore` owns the write, the
+    verified read and the bound).  ``max_bytes`` overrides
+    :func:`cache_max_bytes`; non-positive means unbounded.
     """
 
     def __init__(
@@ -247,16 +433,9 @@ class ModelCache:
         directory: Optional[os.PathLike] = None,
         max_bytes: Optional[int] = None,
     ):
-        self.directory = (
-            pathlib.Path(directory) if directory is not None else cache_directory()
-        )
-        self.max_bytes = max_bytes if max_bytes is not None else cache_max_bytes()
-        if self.max_bytes is not None and self.max_bytes <= 0:
-            self.max_bytes = None
-        self.stats = CacheStats()
-
-    def path_for(self, key: str) -> pathlib.Path:
-        return self.directory / f"{key}.npz"
+        super().__init__(directory)
+        if max_bytes is not None:
+            self.max_bytes = max_bytes if max_bytes > 0 else None
 
     def get_or_train(
         self,
@@ -271,141 +450,10 @@ class ModelCache:
         """Memoized training: load on hit, train + store on miss."""
         from .serialization import load_model, save_model
 
-        loader = loader or load_model
-        saver = saver or save_model
         key = cache_key(kind, config, dataset, train_params)
-        path = self.path_for(key)
-        if path.exists():
-            model = load_verified(path, self.stats, loader)
-            if model is not None:
-                return model
-        self.stats.misses += 1
-        model = train_fn()
-        try:
-            self._atomic_store(model, path, saver)
-            self.stats.stores += 1
-        except OSError:
-            pass  # read-only cache dir: training still succeeded
-        self._enforce_capacity(keep=path)
-        return model
-
-    def _atomic_store(self, model, path: pathlib.Path, saver) -> None:
-        """Write-to-tmp + rename so readers never see partial entries."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        handle, tmp_name = tempfile.mkstemp(
-            dir=self.directory, suffix=".tmp.npz"
+        return self.get_or_make(
+            key, train_fn, loader or load_model, saver or save_model
         )
-        os.close(handle)
-        try:
-            written = saver(model, tmp_name)
-            os.replace(written, path)
-            write_digest_sidecar(path)
-        finally:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-
-    @staticmethod
-    def _evict(path: pathlib.Path) -> None:
-        """Remove a corrupt entry and its sidecar (best effort)."""
-        for victim in (path, digest_sidecar(path)):
-            try:
-                victim.unlink()
-            except OSError:  # pragma: no cover - already gone / read-only
-                pass
-
-    @staticmethod
-    def _touch(path: pathlib.Path) -> None:
-        """Refresh an entry's mtime — the LRU recency signal."""
-        try:
-            os.utime(path)
-        except OSError:  # pragma: no cover - read-only cache dir
-            pass
-
-    def _entry_size(self, path: pathlib.Path) -> Optional[int]:
-        """Bytes of an entry plus its sidecar (None when it vanished)."""
-        try:
-            size = path.stat().st_size
-        except OSError:
-            return None
-        try:
-            size += digest_sidecar(path).stat().st_size
-        except OSError:
-            pass
-        return size
-
-    def _enforce_capacity(self, keep: Optional[pathlib.Path] = None) -> int:
-        """Evict least-recently-used entries until the store fits.
-
-        ``keep`` shields the entry just written — evicting it would
-        turn the store into a cache that forgets what it was told one
-        call ago.  Returns the number of entries evicted.
-        """
-        if self.max_bytes is None or not self.directory.exists():
-            return 0
-        entries = []
-        for path in self.directory.glob("*.npz"):
-            size = self._entry_size(path)
-            if size is None:
-                continue
-            try:
-                mtime = path.stat().st_mtime
-            except OSError:
-                continue
-            entries.append((mtime, path, size))
-        total = sum(size for _, _, size in entries)
-        entries.sort(key=lambda item: (item[0], item[1].name))
-        evicted = 0
-        for _, path, size in entries:
-            if total <= self.max_bytes:
-                break
-            if keep is not None and path == keep:
-                continue
-            self._evict(path)
-            self.stats.capacity_evictions += 1
-            evicted += 1
-            total -= size
-        return evicted
-
-    def clear(self) -> int:
-        """Remove every entry (and sidecars); returns entries deleted."""
-        removed = 0
-        if self.directory.exists():
-            for path in self.directory.glob("*.npz"):
-                path.unlink()
-                removed += 1
-            for sidecar in self.directory.glob("*.npz.sha256"):
-                sidecar.unlink()
-        return removed
-
-
-def load_verified(path: pathlib.Path, stats: CacheStats, load_fn: Callable):
-    """Sidecar-verified cache read shared by every on-disk store here.
-
-    One implementation of the hit protocol :class:`ModelCache` and
-    :class:`ArrayBundleCache` both follow: check the integrity sidecar
-    (a failed check evicts the entry *before* deserializing it), load
-    through ``load_fn``, count the hit and refresh LRU recency.
-    Returns the loaded value, or ``None`` when the caller must
-    recompute — cache-shaped failures (corruption, truncation, missing
-    members) are recorded in ``stats``, never raised.
-    """
-    verdict = verify_digest_sidecar(path)
-    if verdict is False:
-        # Bit rot / tampering caught by the integrity sidecar: evict
-        # the entry *before* deserializing it so the caller recomputes
-        # and overwrites with a fresh (re-digested) entry.
-        stats.corrupt_evictions += 1
-        ModelCache._evict(path)
-        return None
-    try:
-        value = load_fn(path)
-    except (ReproError, OSError, ValueError, KeyError):
-        # Corrupt / truncated / stale entry: recompute + overwrite.
-        stats.errors += 1
-        return None
-    stats.hits += 1
-    ModelCache._touch(path)
-    return value
 
 
 #: Process-wide cache instance (lazy — respects env overrides made
@@ -454,79 +502,35 @@ def cached_train(
     )
 
 
-class ArrayBundleCache:
+def _load_bundle(path: os.PathLike) -> Dict[str, np.ndarray]:
+    with np.load(path) as payload:
+        return {name: payload[name] for name in payload.files}
+
+
+def _save_bundle(bundle: Dict[str, np.ndarray], path: os.PathLike) -> os.PathLike:
+    np.savez(path, **bundle)
+    return path
+
+
+class ArrayBundleCache(ArtifactStore):
     """Content-addressed on-disk store of named NumPy array bundles.
 
     The design-space sweep (:mod:`repro.hardware.sweep`) memoizes each
     evaluated shard — a dict of equal-length columnar arrays — under a
-    SHA-256 key of its exact combo payload.  Entries are plain ``.npz``
-    files written atomically (tmp + ``os.replace``) with the same
-    integrity sidecars as :class:`ModelCache`; a corrupt or unreadable
-    entry falls back to recomputation and is overwritten.  The store
-    lives in a ``sweeps/`` subdirectory of the model cache so
-    ``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE`` govern both.
+    SHA-256 key of its exact combo payload, and the plan cache
+    (:mod:`repro.ir.plan_cache`) its encoded spike trains.  Entries are
+    plain ``.npz`` files in a ``sweeps/`` subdirectory of the cache
+    root, so ``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE`` /
+    ``REPRO_CACHE_MAX_BYTES`` govern them with the models.
     """
 
     SUBDIR = "sweeps"
-
-    def __init__(self, directory: Optional[os.PathLike] = None):
-        base = (
-            pathlib.Path(directory) if directory is not None else cache_directory()
-        )
-        self.directory = base / self.SUBDIR
-        self.stats = CacheStats()
-
-    def path_for(self, key: str) -> pathlib.Path:
-        return self.directory / f"{key}.npz"
 
     def get_or_compute(
         self, key: str, compute: Callable[[], Dict[str, np.ndarray]]
     ) -> Dict[str, np.ndarray]:
         """Load the bundle for ``key``, or compute + store it."""
-        path = self.path_for(key)
-        if path.exists():
-
-            def load_bundle(entry) -> Dict[str, np.ndarray]:
-                with np.load(entry) as payload:
-                    return {name: payload[name] for name in payload.files}
-
-            bundle = load_verified(path, self.stats, load_bundle)
-            if bundle is not None:
-                return bundle
-        self.stats.misses += 1
-        bundle = compute()
-        try:
-            self._atomic_store(bundle, path)
-            self.stats.stores += 1
-        except OSError:
-            pass  # read-only cache dir: the computation still succeeded
-        return bundle
-
-    def _atomic_store(
-        self, bundle: Dict[str, np.ndarray], path: pathlib.Path
-    ) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        handle, tmp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp.npz")
-        os.close(handle)
-        try:
-            with open(tmp_name, "wb") as tmp:
-                np.savez(tmp, **bundle)
-            os.replace(tmp_name, path)
-            write_digest_sidecar(path)
-        finally:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-
-    def clear(self) -> int:
-        """Remove every bundle (and sidecars); returns entries deleted."""
-        removed = 0
-        if self.directory.exists():
-            for path in self.directory.glob("*.npz"):
-                path.unlink()
-                removed += 1
-            for sidecar in self.directory.glob("*.npz.sha256"):
-                sidecar.unlink()
-        return removed
+        return self.get_or_make(key, compute, _load_bundle, _save_bundle)
 
 
 class ServingSnapshotCache(ArrayBundleCache):
@@ -538,30 +542,20 @@ class ServingSnapshotCache(ArrayBundleCache):
     the corruption-recovery path restores from: an on-disk copy whose
     integrity sidecar is re-verified at load time, so a DRAM fault in
     the live segment is repaired from bytes that are themselves
-    checked — never from another potentially-corrupt RAM copy.
+    checked — never from another potentially-corrupt RAM copy.  Under
+    a size bound a snapshot can be evicted like any entry; recovery
+    then restores from the pool's in-memory pristine copy.
     """
 
     SUBDIR = "serving"
 
     def store(self, key: str, bundle: Dict[str, np.ndarray]) -> None:
-        """Persist a pristine copy under ``key`` (no-op if present)."""
+        """Persist a pristine copy under ``key`` (a verified entry is kept)."""
         self.get_or_compute(key, lambda: bundle)
 
     def load(self, key: str) -> Optional[Dict[str, np.ndarray]]:
         """Sidecar-verified load; ``None`` when missing or corrupt."""
-        path = self.path_for(key)
-        if not path.exists():
-            return None
-
-        def load_bundle(entry) -> Dict[str, np.ndarray]:
-            with np.load(entry) as payload:
-                return {name: payload[name] for name in payload.files}
-
-        return load_verified(path, self.stats, load_bundle)
-
-
-#: Cache subdirectories audited by :func:`verify_cache`, in walk order.
-_VERIFY_SUBDIRS: tuple = ("", ArrayBundleCache.SUBDIR, ServingSnapshotCache.SUBDIR)
+        return self.read(key, _load_bundle)
 
 
 def verify_cache(
@@ -569,13 +563,13 @@ def verify_cache(
 ) -> Dict[str, Any]:
     """Audit every cache entry against its SHA-256 integrity sidecar.
 
-    Walks the :class:`ModelCache` root plus the :class:`ArrayBundleCache`
-    (``sweeps/``) and :class:`ServingSnapshotCache` (``serving/``)
-    subdirectories, classifying each ``.npz`` entry as ``verified``
-    (digest matches), ``corrupt`` (mismatch), or ``missing_sidecar``
-    (legacy entry with no digest — tolerated, reported).  With
-    ``evict=True`` corrupt entries and their sidecars are deleted so
-    the next cache access recomputes them.
+    Walks every ``.npz`` entry anywhere under the cache root — models,
+    ``sweeps/``, ``serving/``, ``live-snapshots/`` and whatever else a
+    store keeps there — classifying each as ``verified`` (digest
+    matches), ``corrupt`` (mismatch), or ``missing_sidecar`` (legacy
+    entry with no digest — tolerated, reported).  With ``evict=True``
+    corrupt entries and their sidecars are deleted so the next cache
+    access recomputes them.
 
     Returns a JSON-ready report with stable keys: ``directory``,
     ``checked``, ``verified``, ``corrupt``, ``missing_sidecar``,
@@ -585,24 +579,20 @@ def verify_cache(
     base = pathlib.Path(directory) if directory is not None else cache_directory()
     entries = []
     evicted = 0
-    for subdir in _VERIFY_SUBDIRS:
-        root = base / subdir if subdir else base
-        if not root.is_dir():
-            continue
-        for path in sorted(root.glob("*.npz")):
-            verdict = verify_digest_sidecar(path)
-            if verdict is True:
-                status = "verified"
-            elif verdict is None:
-                status = "missing_sidecar"
-            else:
-                status = "corrupt"
-            entry = {"path": str(path.relative_to(base)), "status": status}
-            if status == "corrupt" and evict:
-                ModelCache._evict(path)
-                entry["evicted"] = True
-                evicted += 1
-            entries.append(entry)
+    for path in _tree_entries(base):
+        verdict = verify_digest_sidecar(path)
+        if verdict is True:
+            status = "verified"
+        elif verdict is None:
+            status = "missing_sidecar"
+        else:
+            status = "corrupt"
+        entry = {"path": str(path.relative_to(base)), "status": status}
+        if status == "corrupt" and evict:
+            _evict(path)
+            entry["evicted"] = True
+            evicted += 1
+        entries.append(entry)
     return {
         "directory": str(base),
         "checked": len(entries),

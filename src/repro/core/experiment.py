@@ -12,10 +12,12 @@ this interface.
 
 For long sweeps, :class:`ResilientRunner` hardens any experiment
 function with per-attempt wall-clock timeouts, bounded retries (with
-reseeding and exponential backoff), checkpoint/resume of trained
-models (through :class:`repro.core.serialization.CheckpointStore`)
-and graceful degradation — an automatic ``scale`` fallback when every
-retry at the requested fidelity fails.  The structured failure record
+reseeding and exponential backoff) and graceful degradation — an
+automatic ``scale`` fallback when every retry at the requested
+fidelity fails.  Retries and re-runs resume trained models through
+the content-addressed model cache (:mod:`repro.core.artifacts`): a
+model whose key an earlier attempt stored is loaded, not retrained.
+The structured failure record
 of a resilient run (``attempts``, ``failures``, ``degraded``) is
 surfaced on the returned :class:`ExperimentResult` and rendered by
 :mod:`repro.analysis.report`.
@@ -129,10 +131,6 @@ class RunPolicy:
             failed; only used when the experiment function accepts a
             ``scale`` keyword.  Each fallback level gets the same
             retry budget.
-        checkpoint_dir: directory for trained-model checkpoints; when
-            set (and the function accepts a ``checkpoint`` keyword) a
-            :class:`~repro.core.serialization.CheckpointStore` is
-            passed through, so retries resume instead of retraining.
         reseed: derive a fresh ``seed`` for every retry (only when the
             function accepts a ``seed`` keyword) so a failure caused
             by an unlucky stochastic draw is not replayed verbatim.
@@ -143,7 +141,6 @@ class RunPolicy:
     backoff_seconds: float = 0.0
     backoff_factor: float = 2.0
     degrade_scales: Tuple[float, ...] = ()
-    checkpoint_dir: Optional[str] = None
     reseed: bool = True
 
     def validate(self) -> "RunPolicy":
@@ -279,12 +276,6 @@ class ResilientRunner:
             return accepted is None or name in accepted
 
         call_kwargs = dict(kwargs)
-        if policy.checkpoint_dir is not None and supports("checkpoint"):
-            from .serialization import CheckpointStore  # lazy: avoid cycle
-
-            call_kwargs.setdefault(
-                "checkpoint", CheckpointStore(policy.checkpoint_dir)
-            )
         base_seed = call_kwargs.get("seed")
         scales: List[Optional[float]] = [call_kwargs.get("scale")]
         if supports("scale"):
@@ -375,8 +366,8 @@ def run_experiment_by_id(
     either inline (serial) or inside a worker process.  The worker
     re-imports the analysis package so the registry is populated
     regardless of the multiprocessing start method, then applies the
-    PR-1 :class:`RunPolicy` semantics (timeout / retries / checkpoints
-    / degradation) exactly as a serial run would: resilience is
+    :class:`RunPolicy` semantics (timeout / retries / degradation)
+    exactly as a serial run would: resilience is
     *per experiment*, unchanged by where the experiment executes.
     """
     from . import registry  # local import: registry imports this module

@@ -233,110 +233,3 @@ def save_model(model, path: PathLike) -> pathlib.Path:
         "SpikingNetwork or a BackPropSNN"
     )
 
-
-class CheckpointStore:
-    """Keyed on-disk store of trained models (NPZ checkpoints).
-
-    The resilient experiment runner hands one of these to experiment
-    functions (as a ``checkpoint=`` keyword) so expensive training
-    steps become resumable: a retried or re-run experiment reloads the
-    trained model instead of retraining it.  Keys are free-form
-    strings; they are sanitized into filenames.
-
-    A checkpoint that exists but fails to load (corrupt file, format
-    mismatch) is treated as absent: :meth:`load_or_train` falls back
-    to retraining and overwrites it, so a bad checkpoint can never
-    wedge a sweep.
-
-    Integrity: :meth:`save` records a SHA-256 sidecar next to every
-    checkpoint; :meth:`load` verifies it first and raises (after
-    evicting the corrupt pair) on mismatch, so bit rot is caught
-    *before* deserialization.  Checkpoints written by older builds
-    (no sidecar) still load.  :attr:`corrupt_evictions` counts the
-    mismatches caught.
-    """
-
-    def __init__(self, directory: PathLike):
-        self.directory = pathlib.Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        #: sha256-mismatch checkpoints evicted by :meth:`load`.
-        self.corrupt_evictions = 0
-
-    def path_for(self, key: str) -> pathlib.Path:
-        """The on-disk path backing ``key``."""
-        safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in key)
-        if not safe:
-            raise SerializationError(f"checkpoint key {key!r} sanitizes to nothing")
-        return self.directory / f"{safe}.npz"
-
-    def has(self, key: str) -> bool:
-        return self.path_for(key).exists()
-
-    def save(self, key: str, model) -> pathlib.Path:
-        """Checkpoint ``model`` under ``key`` (overwrites) + sidecar."""
-        from .artifacts import write_digest_sidecar
-
-        path = save_model(model, self.path_for(key))
-        write_digest_sidecar(path)
-        return path
-
-    def load(self, key: str):
-        """Load the model checkpointed under ``key``.
-
-        Verifies the SHA-256 integrity sidecar first (when present):
-        a mismatch evicts the corrupt checkpoint and raises
-        :class:`SerializationError`.  Any other failure to read the
-        file (truncated/garbage archive, wrong kind or version, bad
-        config JSON) surfaces as a
-        :class:`~repro.core.errors.ReproError` subclass.
-        """
-        from .artifacts import digest_sidecar, verify_digest_sidecar
-
-        path = self.path_for(key)
-        if not path.exists():
-            raise SerializationError(f"no checkpoint for key {key!r} at {path}")
-        if verify_digest_sidecar(path) is False:
-            self.corrupt_evictions += 1
-            for victim in (path, digest_sidecar(path)):
-                try:
-                    victim.unlink()
-                except OSError:  # pragma: no cover - already gone
-                    pass
-            raise SerializationError(
-                f"checkpoint for key {key!r} at {path} failed its sha256 "
-                "integrity check; evicted"
-            )
-        try:
-            return load_model(path)
-        except ReproError:
-            raise
-        except Exception as exc:  # unreadable archive, truncated file, ...
-            raise SerializationError(
-                f"checkpoint for key {key!r} at {path} is unreadable: {exc}"
-            ) from exc
-
-    def load_or_train(self, key: str, train_fn):
-        """Return the checkpointed model for ``key``, training on a miss.
-
-        ``train_fn`` is a zero-argument callable producing the model;
-        it runs only when no (valid) checkpoint exists, and its result
-        is checkpointed before being returned.
-        """
-        if self.has(key):
-            try:
-                return self.load(key)
-            except ReproError:
-                pass  # corrupt/stale checkpoint: retrain and overwrite
-        model = train_fn()
-        self.save(key, model)
-        return model
-
-    def clear(self) -> int:
-        """Delete every checkpoint (and sidecars); returns checkpoints removed."""
-        removed = 0
-        for path in self.directory.glob("*.npz"):
-            path.unlink()
-            removed += 1
-        for sidecar in self.directory.glob("*.npz.sha256"):
-            sidecar.unlink()
-        return removed

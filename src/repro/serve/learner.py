@@ -47,7 +47,6 @@ for the untouched tenant, and rollback-restores-baseline.
 from __future__ import annotations
 
 import dataclasses
-import pathlib
 import threading
 import time
 from dataclasses import dataclass, field
@@ -55,15 +54,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.artifacts import (
-    ModelCache,
-    cache_directory,
-    cache_key,
-    verify_digest_sidecar,
-)
-from ..core.errors import ReproError, ServingError
+from ..core.artifacts import ModelCache, cache_key
+from ..core.errors import ServingError
 from ..core.hostinfo import host_metadata
 from ..core.rng import child_rng
+from ..core.serialization import load_model, save_model
 from ..datasets.base import Dataset
 from ..faults.injector import FaultInjector
 from ..faults.models import FaultConfig
@@ -373,6 +368,17 @@ def clone_network(network: SpikingNetwork) -> SpikingNetwork:
 # ---------------------------------------------------------------------------
 
 
+class LiveSnapshotCache(ModelCache):
+    """The default snapshot store: ``<cache root>/live-snapshots/``.
+
+    Its entries sit under the cache root, so the root's one size bound
+    (``REPRO_CACHE_MAX_BYTES``) counts and evicts them with every other
+    entry, whichever store writes next.
+    """
+
+    SUBDIR = "live-snapshots"
+
+
 class SnapshotStore:
     """Epoch-versioned model snapshots in a :class:`ModelCache`.
 
@@ -380,9 +386,9 @@ class SnapshotStore:
     content-addressed key of its *actual arrays* — weights, thresholds
     and labels are hashed into the key — plus the tenant and a
     monotonically increasing epoch, so two epochs can never collide
-    and a stale entry can never shadow fresh weights.  Entries carry
-    the cache's standard SHA-256 sidecar; :meth:`load` verifies it
-    before deserializing and treats a mismatch as an evicted epoch.
+    and a stale entry can never shadow fresh weights.  The cache owns
+    the write (SHA-256 sidecar included) and the verified read;
+    :meth:`load` treats an evicted or corrupt entry as a lost epoch.
     """
 
     def __init__(self, cache: ModelCache, tenant: str, dataset: Dataset):
@@ -414,13 +420,7 @@ class SnapshotStore:
             )
         params = self._params(epoch, network)
         key = cache_key("snn-live", network.config, self.dataset, params)
-        self.cache.get_or_train(
-            "snn-live",
-            network.config,
-            self.dataset,
-            lambda: network,
-            train_params=params,
-        )
+        self.cache.write(key, network, save_model)
         self._keys[epoch] = key
         return key
 
@@ -430,24 +430,16 @@ class SnapshotStore:
         Raises :class:`ServingError` for unknown, evicted or corrupt
         epochs — callers fall back to their in-memory last-good copy.
         """
-        from ..core.serialization import load_model
-
         key = self._keys.get(int(epoch))
         if key is None:
             raise ServingError(f"no snapshot recorded for epoch {epoch}")
-        path = self.cache.path_for(key)
-        if not path.exists():
-            raise ServingError(f"snapshot for epoch {epoch} was evicted")
-        if verify_digest_sidecar(path) is False:
-            self.cache.stats.corrupt_evictions += 1
-            self.cache._evict(path)
-            raise ServingError(f"snapshot for epoch {epoch} failed its digest")
-        try:
-            return load_model(path)
-        except (ReproError, OSError, ValueError) as exc:
+        network = self.cache.read(key, load_model)
+        if network is None:
             raise ServingError(
-                f"snapshot for epoch {epoch} unreadable: {exc!r}"
+                f"snapshot for epoch {epoch} was evicted, failed its digest "
+                "or is unreadable"
             )
+        return network
 
     def epochs(self) -> List[int]:
         return sorted(self._keys)
@@ -915,12 +907,10 @@ def run_learn_serve(
             serving_models, policy=policy, images=test_images, seed=seed
         )
 
-    snapshot_path = (
-        pathlib.Path(snapshot_dir)
-        if snapshot_dir is not None
-        else cache_directory() / "live-snapshots"
+    cache = (
+        ModelCache(snapshot_dir) if snapshot_dir is not None else LiveSnapshotCache()
     )
-    store = SnapshotStore(ModelCache(snapshot_path), LIVE_TENANT, probe_set)
+    store = SnapshotStore(cache, LIVE_TENANT, probe_set)
     stream = LabeledStream(
         train_set, window_size=scenario.window_size, seed=seed
     )

@@ -86,3 +86,52 @@ class TestReportRendering:
         assert main(["report", "table4", "table6"]) == 0
         out = capsys.readouterr().out
         assert out.count("measured:") == 2
+
+
+class TestFig6ModelCache:
+    """fig6 trains its six MLPs through the content-addressed model cache."""
+
+    @pytest.fixture()
+    def small_digits(self, monkeypatch, digits_small):
+        monkeypatch.setattr(common, "digits", lambda: digits_small)
+
+    @staticmethod
+    def _isolated_cache(monkeypatch, tmp_path):
+        from repro.core import artifacts
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        artifacts.reset_default_cache()
+
+    def test_second_run_trains_nothing(self, small_digits, monkeypatch, tmp_path):
+        from repro.analysis.figures import fig6_bridging
+        from repro.core import artifacts
+        from repro.mlp.trainer import BackPropTrainer
+
+        self._isolated_cache(monkeypatch, tmp_path)
+        try:
+            first = fig6_bridging(epochs=2)
+
+            def must_not_train(*args, **kwargs):
+                raise AssertionError("a warm fig6 trained an MLP")
+
+            monkeypatch.setattr(BackPropTrainer, "train", must_not_train)
+            second = fig6_bridging(epochs=2)
+            assert artifacts.cache_stats()["hits"] == 6
+        finally:
+            artifacts.reset_default_cache()
+        assert second.rows == first.rows
+        assert len(first.rows) == 6
+
+    def test_uncached_run_matches(self, small_digits, monkeypatch, tmp_path):
+        from repro.analysis.figures import fig6_bridging
+        from repro.core import artifacts
+
+        self._isolated_cache(monkeypatch, tmp_path)
+        try:
+            cached = fig6_bridging(epochs=2)
+        finally:
+            artifacts.reset_default_cache()
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        uncached = fig6_bridging(epochs=2)
+        assert uncached.rows == cached.rows

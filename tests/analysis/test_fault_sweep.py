@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis.fault_sweep import DEFAULT_RATES, fault_sweep
 from repro.core.errors import ExperimentError
-from repro.core.serialization import CheckpointStore
 from repro.mlp.trainer import BackPropTrainer
 from repro.snn.network import SNNTrainer
 
@@ -85,26 +84,6 @@ class TestSweepResult:
         assert any(
             "graceful" in row["expectation"] for row in sweep_result.paper_rows
         )
-
-
-class TestSweepCheckpointing:
-    def test_checkpoint_reused_across_runs(self, tmp_path, sweep_result):
-        store = CheckpointStore(tmp_path)
-        first = fault_sweep(checkpoint=store, **CHEAP)
-        checkpoints = sorted(p.name for p in tmp_path.glob("*.npz"))
-        assert len(checkpoints) == 2  # one MLP, one SNN
-        # Second run must reload the exact same trained models, so the
-        # rows are identical; a retrain under a fresh store would be
-        # identical anyway (same seed), so also assert the files are
-        # untouched (same mtime).
-        stamps = {p.name: p.stat().st_mtime_ns for p in tmp_path.glob("*.npz")}
-        second = fault_sweep(checkpoint=store, **CHEAP)
-        assert second.rows == first.rows
-        assert {
-            p.name: p.stat().st_mtime_ns for p in tmp_path.glob("*.npz")
-        } == stamps
-        # Checkpointed or not, the sweep yields the same curve.
-        assert first.rows == sweep_result.rows
 
 
 class TestSweepModelCache:

@@ -383,6 +383,55 @@ class TestCapacityBound:
         assert ModelCache(tmp_path / "c", max_bytes=0).max_bytes is None
         assert ModelCache(tmp_path / "c", max_bytes=-1).max_bytes is None
 
+    def test_one_bound_over_every_subdirectory(
+        self, tmp_path, tiny_pair, monkeypatch
+    ):
+        """Model, ``sweeps/`` and ``serving/`` entries share one LRU bound."""
+        import os as _os
+
+        from repro.core.artifacts import ArrayBundleCache, ServingSnapshotCache
+
+        train_set, _ = tiny_pair
+        probe = ModelCache(tmp_path / "probe")
+        entry_bytes = probe._entry_size(self._store(probe, train_set, 4))
+        bound = int(entry_bytes * 2.5)
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", str(bound))
+        root = tmp_path / "cache"
+        bundle = {"a": np.zeros(entry_bytes // 8)}  # about one entry
+
+        def age(path, seconds):
+            stat = path.stat()
+            _os.utime(path, (stat.st_atime, stat.st_mtime - seconds))
+
+        def assert_bounded(just_written):
+            entries = sorted(root.rglob("*.npz"))
+            size = sum(probe._entry_size(path) for path in entries)
+            assert size <= bound or entries == [just_written]
+
+        model = self._store(ModelCache(root), train_set, 4)
+        assert_bounded(model)
+        sweeps = ArrayBundleCache(root)
+        sweeps.get_or_compute("shard", lambda: bundle)
+        sweep = sweeps.path_for("shard")
+        assert_bounded(sweep)
+        # The sweep shard, one directory down, is the stalest entry.
+        age(model, 100)
+        age(sweep, 300)
+        serving = ServingSnapshotCache(root)
+        serving.store("snapshot", bundle)
+        snapshot = serving.path_for("snapshot")
+        assert_bounded(snapshot)
+        assert not sweep.exists(), "the oldest entry goes, wherever it is"
+        assert model.exists() and snapshot.exists()
+        assert serving.stats.capacity_evictions == 1
+        # Now the serving snapshot is stalest: a model store evicts it.
+        age(model, 100)
+        age(snapshot, 300)
+        newer = self._store(ModelCache(root), train_set, 5)
+        assert_bounded(newer)
+        assert not snapshot.exists()
+        assert model.exists() and newer.exists()
+
 
 class TestArrayBundleCache:
     """The sweep-shard store: npz bundles under ``<cache>/sweeps/``."""
@@ -516,6 +565,26 @@ class TestVerifyCache:
         assert report["missing_sidecar"] == 1
         assert report["evicted"] == 0
         assert path.exists()
+
+    def test_live_snapshots_are_audited_and_evictable(
+        self, tmp_path, trained_snn, digits_small
+    ):
+        """The learner's default snapshot directory is part of the audit."""
+        from repro.serve.learner import SnapshotStore
+
+        _, test_set = digits_small
+        store = SnapshotStore(
+            ModelCache(tmp_path / "live-snapshots"), "live", test_set.take(8)
+        )
+        path = store.cache.path_for(store.save(0, trained_snn))
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        path.write_bytes(bytes(blob))
+        report = artifacts.verify_cache(tmp_path, evict=True)
+        assert report["checked"] == 1
+        assert report["corrupt"] == 1 and report["evicted"] == 1
+        assert report["entries"][0]["path"].startswith("live-snapshots/")
+        assert not path.exists()
 
     def test_defaults_to_the_active_cache_directory(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cachehome"))

@@ -228,48 +228,48 @@ class TestExhaustion:
             runner().run(kaboom)
 
 
-class TestCheckpointResume:
-    def test_checkpoint_skips_retraining_across_retries(self, tmp_path):
+class TestModelCacheResume:
+    def test_retries_reload_the_trained_model(self, tmp_path, monkeypatch):
+        """Reseeded retries resume through the model cache's content key."""
+        import numpy as np
+
+        from repro.core import artifacts
         from repro.core.config import MLPConfig
+        from repro.datasets.base import Dataset
         from repro.mlp.network import MLP
 
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        artifacts.reset_default_cache()
+        dataset = Dataset(
+            images=np.arange(40, dtype=np.uint8).reshape(4, 10),
+            labels=np.array([0, 1, 0, 1]),
+            n_classes=2,
+            name="resume",
+        )
+        config = MLPConfig(n_inputs=10, n_hidden=4, n_output=2).validate()
         trainings = []
-        attempts = []
+        seeds = []
 
-        def fn(checkpoint=None, seed: int = 0):
-            attempts.append(1)
+        def train():
+            trainings.append(1)
+            return MLP(config)
 
-            def train():
-                trainings.append(1)
-                return MLP(MLPConfig(n_hidden=4).validate())
-
-            model = checkpoint.load_or_train("model", train)
-            assert model is not None
-            if len(attempts) < 3:
+        def fn(seed: int = 0):
+            seeds.append(seed)
+            model = artifacts.cached_train("mlp", config, dataset, train)
+            assert isinstance(model, MLP)
+            if len(seeds) < 3:
                 raise ValueError("post-training failure")
             return make_result()
 
-        result = runner(retries=3, checkpoint_dir=str(tmp_path)).run(fn)
+        try:
+            result = runner(retries=2).run(fn)
+        finally:
+            artifacts.reset_default_cache()
         assert result.attempts == 3
-        assert len(trainings) == 1  # attempts 2 and 3 resumed the checkpoint
-
-    def test_checkpoint_not_passed_when_unsupported(self, tmp_path):
-        def fn():
-            return make_result()
-
-        # Would raise TypeError if the runner forced a checkpoint kwarg.
-        assert runner(checkpoint_dir=str(tmp_path)).run(fn).attempts == 1
-
-    def test_explicit_checkpoint_kwarg_wins(self, tmp_path):
-        sentinel = object()
-        seen = []
-
-        def fn(checkpoint=None):
-            seen.append(checkpoint)
-            return make_result()
-
-        runner(checkpoint_dir=str(tmp_path)).run(fn, checkpoint=sentinel)
-        assert seen == [sentinel]
+        assert len(set(seeds)) == 3  # every retry reseeded ...
+        assert len(trainings) == 1  # ... and still reloaded the model
 
 
 class TestFailureRecord:

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.errors import ReproError, SerializationError
 from repro.core.serialization import (
-    CheckpointStore,
     load_mlp,
     load_model,
     load_snn,
@@ -192,63 +191,6 @@ class TestSaveModelDispatch:
             save_model(object(), tmp_path / "x")
 
 
-class TestCheckpointStore:
-    def test_round_trip(self, trained_mlp, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpts")
-        assert not store.has("mlp")
-        store.save("mlp", trained_mlp)
-        assert store.has("mlp")
-        loaded = store.load("mlp")
-        assert np.array_equal(loaded.w_hidden, trained_mlp.w_hidden)
-
-    def test_keys_sanitized(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        assert store.path_for("a/b c:d").name == "a_b_c_d.npz"
-        with pytest.raises(SerializationError, match="sanitizes"):
-            store.path_for("")
-
-    def test_load_missing_key_raises(self, tmp_path):
-        with pytest.raises(SerializationError, match="no checkpoint"):
-            CheckpointStore(tmp_path).load("nope")
-
-    def test_load_or_train_trains_once(self, trained_mlp, tmp_path):
-        store = CheckpointStore(tmp_path)
-        calls = []
-
-        def train():
-            calls.append(1)
-            return trained_mlp
-
-        first = store.load_or_train("m", train)
-        second = store.load_or_train("m", train)
-        assert len(calls) == 1
-        assert np.array_equal(first.w_hidden, second.w_hidden)
-
-    def test_corrupt_checkpoint_falls_back_to_retraining(
-        self, trained_mlp, tmp_path
-    ):
-        store = CheckpointStore(tmp_path)
-        store.path_for("m").write_bytes(b"garbage, not an npz archive")
-        calls = []
-
-        def train():
-            calls.append(1)
-            return trained_mlp
-
-        model = store.load_or_train("m", train)
-        assert len(calls) == 1
-        assert np.array_equal(model.w_hidden, trained_mlp.w_hidden)
-        # The bad file was overwritten with a valid checkpoint.
-        assert np.array_equal(store.load("m").w_hidden, trained_mlp.w_hidden)
-
-    def test_clear_removes_all(self, trained_mlp, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.save("a", trained_mlp)
-        store.save("b", trained_mlp)
-        assert store.clear() == 2
-        assert not store.has("a")
-
-
 class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ReproError, match="not found"):
@@ -282,69 +224,3 @@ class TestErrors:
         np.savez(path, **arrays)
         with pytest.raises(ReproError, match="format version"):
             load_mlp(path)
-
-
-class TestCheckpointIntegrity:
-    """SHA-256 sidecars on checkpoints (PR5 artifact hardening)."""
-
-    def test_save_writes_a_verifying_sidecar(self, trained_mlp, tmp_path):
-        from repro.core.artifacts import digest_sidecar, verify_digest_sidecar
-
-        store = CheckpointStore(tmp_path)
-        path = store.save("m", trained_mlp)
-        sidecar = digest_sidecar(path)
-        assert sidecar.exists()
-        assert verify_digest_sidecar(path) is True
-
-    def test_bit_flip_is_caught_and_evicted(self, trained_mlp, tmp_path):
-        store = CheckpointStore(tmp_path)
-        path = store.save("m", trained_mlp)
-        blob = bytearray(path.read_bytes())
-        blob[len(blob) // 2] ^= 0x01  # flip one bit mid-archive
-        path.write_bytes(bytes(blob))
-        with pytest.raises(SerializationError, match="integrity"):
-            store.load("m")
-        assert store.corrupt_evictions == 1
-        assert not path.exists()  # evicted, not left to poison reloads
-
-    def test_load_or_train_retrains_after_corruption(
-        self, trained_mlp, tmp_path
-    ):
-        from repro.core.artifacts import verify_digest_sidecar
-
-        store = CheckpointStore(tmp_path)
-        path = store.save("m", trained_mlp)
-        blob = bytearray(path.read_bytes())
-        blob[-1] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        calls = []
-
-        def train():
-            calls.append(1)
-            return trained_mlp
-
-        model = store.load_or_train("m", train)
-        assert calls == [1]  # the corrupt checkpoint forced a retrain
-        assert np.array_equal(model.w_hidden, trained_mlp.w_hidden)
-        # The replacement checkpoint verifies again.
-        assert verify_digest_sidecar(store.path_for("m")) is True
-        assert np.array_equal(store.load("m").w_hidden, trained_mlp.w_hidden)
-
-    def test_legacy_checkpoint_without_sidecar_loads(
-        self, trained_mlp, tmp_path
-    ):
-        from repro.core.artifacts import digest_sidecar
-
-        store = CheckpointStore(tmp_path)
-        path = store.save("m", trained_mlp)
-        digest_sidecar(path).unlink()  # pre-PR5 layout
-        loaded = store.load("m")
-        assert np.array_equal(loaded.w_hidden, trained_mlp.w_hidden)
-        assert store.corrupt_evictions == 0
-
-    def test_clear_removes_sidecars_too(self, trained_mlp, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.save("a", trained_mlp)
-        store.save("b", trained_mlp)
-        assert store.clear() == 2
-        assert list(tmp_path.glob("*.sha256")) == []

@@ -179,7 +179,6 @@ class TestCLIResilienceFlags:
             retries=0,
             timeout=None,
             backoff=0.0,
-            checkpoint_dir=None,
             degrade_scales="",
         )
         assert _policy_from_args(args) is None
@@ -193,11 +192,17 @@ class TestCLIResilienceFlags:
             retries=2,
             timeout=30.0,
             backoff=0.5,
-            checkpoint_dir="/tmp/ckpt",
             degrade_scales="0.5, 0.25",
         )
         policy = _policy_from_args(args)
         assert policy.retries == 2
         assert policy.timeout_seconds == 30.0
         assert policy.degrade_scales == (0.5, 0.25)
-        assert policy.checkpoint_dir == "/tmp/ckpt"
+
+    def test_checkpoint_dir_flag_is_gone(self, tmp_path, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "table6", "--checkpoint-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "--checkpoint-dir" in capsys.readouterr().err

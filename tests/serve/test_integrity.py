@@ -375,3 +375,33 @@ class TestEndToEndWeightCorruption:
         assert integrity["restores"] >= 1
         assert integrity["unrecoverable"] is False
         assert payload["health"]["ready"] is True
+
+
+class TestServingSnapshotBound:
+    def test_hot_swaps_leave_only_the_newest_snapshot(
+        self, digits_small, tmp_path, monkeypatch
+    ):
+        """Each hot swap stores a snapshot; the cache bound evicts the rest."""
+        from repro.core.config import MLPConfig
+        from repro.mlp.network import MLP
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "200000")
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        _, test_set = digits_small
+
+        def mlp(seed):
+            return MLP(MLPConfig(n_hidden=20, seed=seed).validate())
+
+        with ShardedPool(
+            {"mlp": mlp(0)},
+            jobs=1,
+            images=test_set.images[:50],
+            warm=False,
+            supervisor=SupervisorPolicy(wedge_timeout=None, **FAST),
+        ) as pool:
+            for seed in range(1, 7):
+                pool.hot_swap({"mlp": mlp(seed)})
+            snapshots = sorted((tmp_path / "serving").glob("*.npz"))
+            assert [path.stem for path in snapshots] == [pool._snapshot_key]
+            assert pool.scrub_now() == []
