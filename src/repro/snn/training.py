@@ -40,25 +40,27 @@ sequential.  What *can* be fused:
    before its add, which is the fold of
    :func:`repro.snn.batched.gather_contribution` bit for bit, without
    the ``(n_spikes, n_neurons)`` weight gather.
-4. **An exact filter scan per chunk.**  Until the first output spike
-   every neuron stays active, so the serial loop's masked operations
-   reduce to whole-array ones (``v[all-true] *= d`` is bitwise
-   ``v *= d``) and the per-step recurrence is exactly
-   ``v[t] = round(v[t-1] * d) + C[t]`` — a first-order IIR filter.
-   ``scipy.signal.lfilter([1], [1, -d])`` runs it over each chunk:
-   direct-form-II-transposed evaluates ``round(C[t] + round(d *
-   v[t-1]))`` per step, which IEEE commutativity makes bitwise the
-   serial loop's arithmetic, and the filter's one-sample state
-   (``zi`` in, ``zf`` out) carries ``d * v`` across chunk boundaries
-   exactly (both property-tested in
-   ``tests/snn/test_training_fused.py``).  The first row of the exact
-   trajectory that crosses a threshold *is* the serial loop's firing
-   step, so firing detection is a vectorized comparison.
-5. **Gated fire checks (SciPy-free fallback).**  When either SciPy
-   kernel is missing, each presentation's contributions are built for
-   every step by a count-class scatter (steps with ``c`` spikes form
-   one ``(m, c, n_neurons)`` gather whose axis-1 ``np.add.reduce`` is
-   the same strict fold), and the scan stays a Python loop.
+4. **An exact in-place recurrence per chunk.**  Until the first output
+   spike every neuron stays active, so the serial loop's masked
+   operations reduce to whole-array ones (``v[all-true] *= d`` is
+   bitwise ``v *= d``) and the per-step recurrence is exactly
+   ``v[t] = round(v[t-1] * d) + C[t]``.  The chunk's contributions sit
+   in rows ``1..span`` of one buffer whose row 0 carries the potential
+   in from the previous chunk, and one more call of the same kernel,
+   :func:`repro.snn.batched.leak_scan`, runs the recurrence down it in
+   place: each row gains the rounded product ``d * v[t-1]``, which
+   IEEE commutativity makes bitwise the serial loop's arithmetic
+   (property-tested in ``tests/snn/test_training_fused.py``).  The
+   first row of the exact trajectory that crosses a threshold *is* the
+   serial loop's firing step, so firing detection is a vectorized
+   comparison.
+5. **Gated fire checks (SciPy-free fallback).**  When
+   :func:`repro.snn.batched.leak_scan_kernel` has no kernel (no SciPy,
+   or a kernel that fails its probe), each presentation's
+   contributions are built for every step by a count-class scatter
+   (steps with ``c`` spikes form one ``(m, c, n_neurons)`` gather
+   whose axis-1 ``np.add.reduce`` is the same strict fold), and the
+   scan stays a Python loop.
    Contributions and the leak are non-negative with decay ``<= 1``,
    so the decay-free running sum ``U[t] = sum(C[:t+1])`` bounds every
    potential from above; steps where no ``U[t]`` reaches its
@@ -67,18 +69,11 @@ sequential.  What *can* be fused:
    that remain, so the first firing step, winning neuron and
    overshoot tie-break are unchanged.)
 
-The filter path computes the *true* potential trajectory, so it needs
-no sign preconditions.  The fallback loop's upper bound does: whenever
-one fails there (negative weights from a custom STDP floor, negative
-decoder modulation, non-positive thresholds) the engine falls back to
-the serial oracle for that presentation — slower, never wrong.
-
-``lfilter`` is imported by the first :func:`_filter_kernels` call, at
-the first learning presentation, not when this module loads.
-``import repro`` reaches this module through :mod:`repro.snn`, and
-``scipy.signal`` (which pulls in ``scipy.stats``) takes about a second
-to import, so a process that trains no SNN (serving, the CLI, a report
-whose models all come from the cache) never loads it.
+The recurrence path computes the *true* potential trajectory, so it
+needs no sign preconditions.  The fallback loop's upper bound does:
+whenever one fails there (negative weights from a custom STDP floor,
+negative decoder modulation, non-positive thresholds) the engine falls
+back to the serial oracle for that presentation — slower, never wrong.
 """
 
 from __future__ import annotations
@@ -97,37 +92,10 @@ from .coding import SpikeTrain, mean_interval
 #: window their presentations without changing any stream.
 TRAIN_CHUNK = 64
 
-#: Steps per filtered chunk of one learning presentation.  Shorter
+#: Steps per scanned chunk of one learning presentation.  Shorter
 #: chunks build fewer steps past the first output spike, longer ones
-#: pay the per-chunk call overhead less often; 32, 64, 128 and 256
-#: measured alike on the digits workload.
+#: pay the per-chunk calls less often.
 STEP_CHUNK = 64
-
-
-#: Marks :data:`_lfilter` as not yet looked up.
-_UNLOADED = object()
-
-#: ``scipy.signal.lfilter`` once the first :func:`_filter_kernels` call
-#: has imported it; ``None`` without SciPy (tests set ``None`` to select
-#: the gated loop).
-_lfilter = _UNLOADED
-
-
-def _filter_kernels():
-    """``(lfilter, csr_matvecs)`` when SciPy provides both, else ``None``."""
-    global _lfilter
-    if _lfilter is _UNLOADED:
-        try:  # SciPy is optional; the engine degrades to a gated Python scan.
-            from scipy.signal import lfilter
-        except ImportError:  # pragma: no cover - exercised on SciPy-free installs
-            lfilter = None
-        _lfilter = lfilter
-    if _lfilter is None:
-        return None
-    csr_matvecs = batched.csr_matvecs_kernel()
-    if csr_matvecs is None:
-        return None
-    return _lfilter, csr_matvecs
 
 
 class FusedSTDPEngine:
@@ -145,8 +113,6 @@ class FusedSTDPEngine:
         self._v = np.empty(config.n_neurons)
         self._last_pre = np.empty(config.n_inputs)
         self._decay = network.lif_parameters.decay_factor(1.0)
-        self._filter_b = np.array([1.0])
-        self._filter_a = np.array([1.0, -self._decay])
         self._wt: Optional[np.ndarray] = None
         self._wt_source: Optional[np.ndarray] = None
 
@@ -156,7 +122,7 @@ class FusedSTDPEngine:
     def supported(self) -> bool:
         """True when the fused engine can run this network's presentations.
 
-        The SciPy filter path computes exact potentials, so it is
+        The recurrence path computes exact potentials, so it is
         always safe.  The SciPy-free fallback additionally requires
         non-negative weights (guaranteed when the STDP floor
         ``w_min >= 0`` clamps every update) and strictly positive
@@ -165,7 +131,7 @@ class FusedSTDPEngine:
         chunk; a False verdict routes presentations through the serial
         oracle instead.
         """
-        if _filter_kernels() is not None:
+        if batched.leak_scan_kernel() is not None:
             return True
         network = self.network
         if network.stdp.w_min < 0:
@@ -253,11 +219,11 @@ class FusedSTDPEngine:
         """
         network = self.network
         thresholds = network.population.thresholds
-        kernels = _filter_kernels()
-        if kernels is None and np.any(train.modulation < 0):
+        kernel = batched.leak_scan_kernel()
+        if kernel is None and np.any(train.modulation < 0):
             # Negative decoder attenuation breaks the fallback loop's
             # upper bound; run this presentation through the serial
-            # oracle.  (The filter path is exact and keeps going.)
+            # oracle.  (The recurrence path is exact and keeps going.)
             return network.present(
                 train,
                 learn=True,
@@ -299,9 +265,9 @@ class FusedSTDPEngine:
             ).winner
 
         boundaries = np.searchsorted(step_idx, np.arange(n_steps + 1))
-        if kernels is not None:
-            winner = self._filter_scan(
-                kernels, train, step_idx, boundaries, ltp_probabilities
+        if kernel is not None:
+            winner = self._recurrence_scan(
+                kernel, train, step_idx, boundaries, ltp_probabilities
             )
         else:
             winner = self._gated_scan(
@@ -310,9 +276,9 @@ class FusedSTDPEngine:
         homeostasis.advance(train.duration, thresholds)
         return winner
 
-    def _filter_scan(
+    def _recurrence_scan(
         self,
-        kernels,
+        kernel,
         train: SpikeTrain,
         step_idx: np.ndarray,
         boundaries: np.ndarray,
@@ -320,11 +286,11 @@ class FusedSTDPEngine:
     ) -> int:
         """Exact chunked trajectory up to the first crossing; the winner.
 
-        Each chunk's contributions come from the CSR kernel and its
-        potentials from ``lfilter``, whose state carries ``d * v``
-        from one chunk into the next (see the module docstring).
+        Each chunk's contributions come from the CSR kernel into rows
+        ``1..span`` of one buffer whose row 0 carries the potential in,
+        and its potentials from the in-place recurrence over that
+        buffer (see the module docstring).
         """
-        lfilter, csr_matvecs = kernels
         thresholds = self.network.population.thresholds
         inputs = train.inputs
         modulation = np.asarray(train.modulation, dtype=np.float64)
@@ -332,14 +298,15 @@ class FusedSTDPEngine:
         flat_weights = weights_t.reshape(-1)
         n_inputs, n_neurons = weights_t.shape
         n_steps = boundaries.size - 1
-        state = np.zeros((1, n_neurons))
+        carried = np.zeros(n_neurons)
         for t0 in range(0, n_steps, STEP_CHUNK):
             t1 = min(t0 + STEP_CHUNK, n_steps)
             s0 = int(boundaries[t0])
             s1 = int(boundaries[t1])
-            contributions = np.zeros((t1 - t0, n_neurons))
+            block = np.zeros((1, t1 - t0 + 1, n_neurons))
+            block[0, 0] = carried
             if s1 > s0:
-                csr_matvecs(
+                kernel(
                     t1 - t0,
                     n_inputs,
                     n_neurons,
@@ -347,15 +314,10 @@ class FusedSTDPEngine:
                     inputs[s0:s1],
                     modulation[s0:s1],
                     flat_weights,
-                    contributions.reshape(-1),
+                    block.reshape(-1)[n_neurons:],
                 )
-            potentials, state = lfilter(
-                self._filter_b,
-                self._filter_a,
-                contributions,
-                axis=0,
-                zi=state,
-            )
+            batched.leak_scan(kernel, block, self._decay)
+            potentials = block[0, 1:]
             crossed = potentials >= thresholds
             rows = np.flatnonzero(crossed.any(axis=1))
             if rows.size:
@@ -370,6 +332,7 @@ class FusedSTDPEngine:
                     boundaries,
                     ltp_probabilities,
                 )
+            carried = potentials[-1]
         return -1
 
     def _gated_scan(

@@ -99,6 +99,23 @@ def _train_both(
     return snapshots
 
 
+def _gated_loop_only(monkeypatch) -> list:
+    """Count gated-loop presentations; fail if the recurrence scan runs."""
+    calls = []
+    gated = FusedSTDPEngine._gated_scan
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return gated(self, *args, **kwargs)
+
+    def must_not_run(self, *args, **kwargs):
+        raise AssertionError("the recurrence scan ran without its kernel")
+
+    monkeypatch.setattr(FusedSTDPEngine, "_gated_scan", counting)
+    monkeypatch.setattr(FusedSTDPEngine, "_recurrence_scan", must_not_run)
+    return calls
+
+
 # ----------------------------------------------------------------------
 # Trainer-level equivalence (the acceptance criterion)
 # ----------------------------------------------------------------------
@@ -149,7 +166,7 @@ class TestTrainerEquivalence:
 
     @pytest.mark.parametrize("chunk", [1, 7, 500, 4096])
     def test_step_chunk_edges(self, tiny_digits, monkeypatch, chunk):
-        """The filter state carries exactly across chunk boundaries: one
+        """The carried potential crosses chunk boundaries exactly: one
         step per chunk, an odd length, and one chunk holding the whole
         500-step presentation (exactly, and with room to spare)."""
         import repro.snn.training as training_mod
@@ -180,20 +197,17 @@ class TestTrainerEquivalence:
         assert advanced == 12 * config.t_period
 
     def test_missing_csr_kernel_takes_gated_loop(self, tiny_digits, monkeypatch):
-        """With lfilter importable but no CSR kernel, presentations run
-        the gated loop (the filter is never called) and labeling runs
-        on the grid; both stay bit-identical."""
+        """Without the CSR kernel, presentations run the gated loop (the
+        recurrence scan never runs) and labeling runs on the grid; both
+        stay bit-identical."""
         import repro.snn.batched as batched_mod
-        import repro.snn.training as training_mod
-
-        def filter_must_not_run(*args, **kwargs):
-            raise AssertionError("filter scan ran without the CSR kernel")
 
         monkeypatch.setattr(batched_mod, "csr_matvecs_kernel", lambda: None)
-        monkeypatch.setattr(training_mod, "_lfilter", filter_must_not_run)
+        gated = _gated_loop_only(monkeypatch)
         config = _config(tiny_digits[0])
         fused, serial = _train_both(config, tiny_digits)
         _assert_identical(fused, serial)
+        assert gated
 
     def test_rejects_unknown_engine(self, tiny_digits):
         config = _config(tiny_digits[0])
@@ -260,14 +274,17 @@ class TestEngineStream:
         np.testing.assert_array_equal(fused_net.weights, serial_net.weights)
 
     def test_scipy_free_fallback_path(self, tiny_digits, monkeypatch):
-        """With the lfilter scan disabled the gated Python loop must
-        still be bit-identical (the path SciPy-free installs run)."""
-        import repro.snn.training as training_mod
+        """With no recurrence kernel (no SciPy, or a kernel that fails
+        the probe) the gated Python loop runs and must still be
+        bit-identical (the path SciPy-free installs run)."""
+        import repro.snn.batched as batched_mod
 
-        monkeypatch.setattr(training_mod, "_lfilter", None)
+        monkeypatch.setattr(batched_mod, "leak_scan_kernel", lambda: None)
+        gated = _gated_loop_only(monkeypatch)
         config = _config(tiny_digits[0])
         fused, serial = _train_both(config, tiny_digits)
         _assert_identical(fused, serial)
+        assert gated
 
     def test_out_of_range_inputs_take_the_serial_oracle(self, tiny_digits):
         """An input index outside the weights never reaches the
@@ -314,34 +331,48 @@ class TestEngineStream:
 
 
 class TestNumericalProperties:
-    def test_lfilter_matches_serial_leak_recurrence(self):
-        """scipy.signal.lfilter([1], [1, -d]) must reproduce the serial
-        v[t] = (v[t-1] * d) + C[t] recurrence bit for bit (DF2T's
-        round(C + round(d*v)) equals it by IEEE commutativity)."""
-        scipy_signal = pytest.importorskip("scipy.signal")
+    def test_leak_scan_matches_serial_leak_recurrence(self):
+        """batched.leak_scan must reproduce the serial
+        v[t] = (v[t-1] * d) + C[t] recurrence bit for bit on signed,
+        multi-scale drive, in every block, from the potential carried
+        in row 0 (the kernel's round(C + round(d*v)) equals it by IEEE
+        commutativity)."""
+        from repro.snn import batched
+
+        kernel = batched.leak_scan_kernel()
+        if kernel is None:
+            pytest.skip("no CSR kernel for the in-place recurrence")
         rng = np.random.default_rng(7)
         for trial in range(50):
-            d = float(rng.uniform(0.5, 1.0))
-            c = rng.uniform(-50, 300, size=(40, 6))
+            d = float(rng.uniform(0.0, 1.0))
+            n_blocks = int(rng.integers(1, 5))
+            c = rng.uniform(-50, 300, size=(n_blocks, 40, 6))
             c *= 10.0 ** rng.integers(-3, 4, size=c.shape)
+            carried_in = rng.uniform(-50, 300, size=(n_blocks, 6))
             expected = np.empty_like(c)
-            v = np.zeros(c.shape[1])
-            for t in range(c.shape[0]):
-                v = (v * d) + c[t]
-                expected[t] = v
-            got = scipy_signal.lfilter([1.0], [1.0, -d], c, axis=0)
-            np.testing.assert_array_equal(got, expected)
-            # Chunked, carrying the filter state (zi in, zf out) from
-            # one chunk into the next, as the engine's scan does.
+            v = carried_in.copy()
+            for t in range(c.shape[1]):
+                v = (v * d) + c[:, t]
+                expected[:, t] = v
+            blocks = np.concatenate([carried_in[:, None], c], axis=1)
+            batched.leak_scan(kernel, blocks, d)
+            np.testing.assert_array_equal(blocks[:, 0], carried_in)
+            np.testing.assert_array_equal(blocks[:, 1:], expected)
+            # Chunked, carrying each chunk's last row into the next
+            # chunk's row 0, as both scans do.
             for chunk in (1, 3, 7):
-                state = np.zeros((1, c.shape[1]))
+                carried = carried_in
                 parts = []
-                for t0 in range(0, c.shape[0], chunk):
-                    part, state = scipy_signal.lfilter(
-                        [1.0], [1.0, -d], c[t0 : t0 + chunk], axis=0, zi=state
+                for t0 in range(0, c.shape[1], chunk):
+                    blocks = np.concatenate(
+                        [carried[:, None], c[:, t0 : t0 + chunk]], axis=1
                     )
-                    parts.append(part)
-                np.testing.assert_array_equal(np.concatenate(parts), expected)
+                    batched.leak_scan(kernel, blocks, d)
+                    parts.append(blocks[:, 1:])
+                    carried = blocks[:, -1]
+                np.testing.assert_array_equal(
+                    np.concatenate(parts, axis=1), expected
+                )
 
     def test_add_reduce_axis1_is_left_fold(self):
         """np.add.reduce(rows, axis=1) on (m, c, N) float blocks must be
@@ -413,11 +444,14 @@ class TestNumericalProperties:
         assert fused_differs
 
     def test_supported_always_true_with_scipy(self, tiny_digits):
-        pytest.importorskip("scipy.signal")
+        from repro.snn import batched
+
+        if batched.leak_scan_kernel() is None:
+            pytest.skip("no CSR kernel for the in-place recurrence")
         config = _config(tiny_digits[0])
         network = _build(config)
         engine = FusedSTDPEngine(network)
-        # Even with negative weights the filter path stays exact.
+        # Even with negative weights the recurrence path stays exact.
         network.weights[0, 0] = -1.0
         assert engine.supported()
 
@@ -461,8 +495,31 @@ class TestCacheKeyStability:
 
 
 # ----------------------------------------------------------------------
-# Lazy filter import (only a process that trains loads scipy.signal)
+# No scipy.signal: importing repro loads none, and neither does training
 # ----------------------------------------------------------------------
+
+
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on this ``repro``; its stdout."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (src, env.get("PYTHONPATH")) if path
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return result.stdout.strip()
 
 
 class TestLazyFilterImport:
@@ -473,47 +530,38 @@ class TestLazyFilterImport:
     def test_import_loads_no_scipy_signal(self, module):
         """A fresh interpreter importing ``module`` loads neither
         ``scipy.signal`` nor the ``scipy.stats`` it pulls in."""
-        import os
-        import subprocess
-        import sys
-
-        import repro
-
-        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            path for path in (src, env.get("PYTHONPATH")) if path
-        )
         probe = (
             f"import sys, {module}; "
             "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
+        assert _fresh_python(probe) == "[]"
+
+    def test_fit_loads_no_scipy_signal(self):
+        """A fresh ``SNNTrainer(...).fit`` loads no ``scipy.signal`` and,
+        wherever the kernel passes its probe, trains on the in-place
+        recurrence."""
+        probe = "\n".join(
+            [
+                "import sys",
+                "from repro.core.config import SNNConfig",
+                "from repro.datasets.digits import load_digits",
+                "from repro.snn import batched",
+                "from repro.snn.network import SNNTrainer, SpikingNetwork",
+                "from repro.snn.training import FusedSTDPEngine",
+                "calls = []",
+                "scan = FusedSTDPEngine._recurrence_scan",
+                "def counting(self, *args):",
+                "    calls.append(1)",
+                "    return scan(self, *args)",
+                "FusedSTDPEngine._recurrence_scan = counting",
+                "train, _ = load_digits(n_train=60, n_test=10, seed=5, side=12)",
+                "config = SNNConfig(n_inputs=train.n_inputs, n_neurons=10,",
+                "                   n_labels=train.n_classes, epochs=1, seed=13)",
+                "SNNTrainer(SpikingNetwork(config)).fit(train)",
+                "print('scipy.signal' in sys.modules, bool(calls),",
+                "      batched.leak_scan_kernel() is not None)",
+            ]
         )
-        assert result.stdout.strip() == "[]"
-
-    def test_fit_loads_and_runs_the_filter(self, tiny_digits, monkeypatch):
-        """The first learning presentation imports ``lfilter`` and the
-        trainer scans with it."""
-        scipy_signal = pytest.importorskip("scipy.signal")
-        import repro.snn.training as training_mod
-
-        monkeypatch.setattr(training_mod, "_lfilter", training_mod._UNLOADED)
-        calls = []
-        real_scan = FusedSTDPEngine._filter_scan
-
-        def counting_scan(self, *args, **kwargs):
-            calls.append(1)
-            return real_scan(self, *args, **kwargs)
-
-        monkeypatch.setattr(FusedSTDPEngine, "_filter_scan", counting_scan)
-        train_set = tiny_digits[0]
-        SNNTrainer(_build(_config(train_set))).fit(train_set)
-        assert calls
-        assert training_mod._filter_kernels() is not None
-        assert training_mod._lfilter is scipy_signal.lfilter
+        loaded, scanned, has_kernel = _fresh_python(probe).split()
+        assert loaded == "False"
+        assert scanned == has_kernel
